@@ -15,8 +15,9 @@ from __future__ import annotations
 import copy
 import json
 import logging
-import math
 import time
+import types
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -37,9 +38,10 @@ from .nn import (NetworkParams, TrainConfig, _Adam, _forward_cached, backward,
                  forward, init_network, save_checkpoint, train)
 from .possibility import (DirichletParams, PossibilityTable, SimplexPoint,
                           default_grid_resolution, dirichlet_mode,
-                          grid_argmax_surrogate, log_dirichlet_possibility,
-                          maxitive_divergence, possibilistic_posterior,
-                          pushforward_possibility, simplex_grid)
+                          dirichlet_possibility, grid_argmax_surrogate,
+                          log_dirichlet_possibility, maxitive_divergence,
+                          possibilistic_posterior, pushforward_possibility,
+                          simplex_grid)
 
 log = logging.getLogger("dappr")
 
@@ -123,48 +125,69 @@ class ExperimentConfig:
 _SECTION_TYPES = {
     "dataset": DatasetSpec,
     "model": ModelSpec,
+    "loss": LossConfig,
     "probe": ProbeSpec,
 }
+
+
+def _fits(value, hint) -> bool:
+    """Whether a parsed config value matches a field's declared type.
+
+    JSON has one number type, so an int passes where a float is declared;
+    a bool passes only where a bool is.  Tuples arrive as tuples (lists are
+    converted first), element types checked.
+    """
+    args = typing.get_args(hint)
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def _build_section(cls, data, context: str):
     if not isinstance(data, dict):
         raise ValueError(f"{context} must be an object, got {type(data).__name__}")
-    known = {f.name for f in cls.__dataclass_fields__.values()}
-    unknown = set(data) - known
+    fields = cls.__dataclass_fields__
+    unknown = set(data) - set(fields)
     if unknown:
         raise ValueError(f"unknown {context} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
     coerced = {}
     for key, value in data.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        coerced[key] = value
+        coerced[key] = tuple(value) if isinstance(value, list) else value
+        if not _fits(coerced[key], hints[key]):
+            raise ValueError(f"{context}.{key} must be {fields[key].type}, got {value!r}")
     return cls(**coerced)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a validated config from a parsed JSON object."""
+    """Build a validated config from a parsed JSON object.
+
+    Unknown keys and values of the wrong type raise ValueError naming the key.
+    """
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
-    known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
+    sections = {}
     for key, value in data.items():
         if key in _SECTION_TYPES:
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        elif key == "loss":
-            kwargs[key] = _build_section(LossConfig, value, key)
+            sections[key] = _build_section(_SECTION_TYPES[key], value, key)
         elif key == "ood":
             if not isinstance(value, list):
                 raise ValueError("ood must be a list of objects")
-            kwargs[key] = tuple(_build_section(OodSpec, o, "ood") for o in value)
-        elif isinstance(value, list):
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
-    return ExperimentConfig(**kwargs)
+            sections[key] = [_build_section(OodSpec, o, "ood") for o in value]
+    return _build_section(ExperimentConfig, {**data, **sections}, "config")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -262,26 +285,13 @@ def model_uncertainties(params: NetworkParams, x: np.ndarray):
     reported for both so concentration histograms stay comparable.
     """
     logits = forward(params, x)
-    n = logits.shape[0]
-    alea = np.empty(n)
-    epi = np.empty(n)
-    alpha0 = np.empty(n)
+    d = softplus_plus_one(logits)
     if params.loss_kind == "dappr":
-        for i in range(n):
-            d = softplus_plus_one(logits[i])
-            alea[i] = aleatoric_uncertainty(d)
-            epi[i] = epistemic_uncertainty(d)
-            alpha0[i] = d.alpha0
-        conf = 1.0 - alea
-    else:
-        probs = softmax(logits)
-        for i in range(n):
-            p = SimplexPoint(probs[i])
-            epi[i] = softmax_entropy(p)
-            alpha0[i] = softplus_plus_one(logits[i]).alpha0
-        alea = 1.0 - probs.max(axis=1)
-        conf = probs.max(axis=1)
-    return alea, epi, conf, alpha0
+        alea = aleatoric_uncertainty(d)
+        return alea, epistemic_uncertainty(d), 1.0 - alea, d.alpha0
+    probs = SimplexPoint(softmax(logits))
+    conf = probs.probs.max(axis=1)
+    return 1.0 - conf, softmax_entropy(probs), conf, d.alpha0
 
 
 def evaluate_seed(params: NetworkParams, test: LabeledDataset,
@@ -793,13 +803,12 @@ def run_verify() -> VerifyReport:
     check("mode_optimality_exact", worst == 0.0, f"max |log g(mode)| {worst:.3e}")
 
     # Grid supremum close to 1.
-    grid3 = simplex_grid(3, 200)
+    grid3 = simplex_grid(3, 200).points_array
+    interior = SimplexPoint(grid3[(grid3 > 0).all(axis=1)])
     lo = 1.0
     for _ in range(10):
         d = DirichletParams(rng.uniform(0.5, 5.0, size=3))
-        vals = [math.exp(log_dirichlet_possibility(d, SimplexPoint(row)))
-                for row in grid3.points_array if np.all(row > 0)]
-        lo = min(lo, max(vals))
+        lo = min(lo, float(dirichlet_possibility(d, interior).max()))
     check("grid_sup_normalised", 1 - 5.0 / 200 <= lo <= 1 + 1e-6, f"min sup {lo:.6f}")
 
     # Divergence properties.

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaximiserValidityError
-from .possibility import DirichletParams, SimplexPoint
+from .possibility import DirichletParams, SimplexPoint, _require_single
 
 SCHEDULES = ("constant", "warmup", "linear")
 WARMUP_EPOCHS = 10
@@ -98,13 +98,15 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def softplus_plus_one(logits) -> DirichletParams:
     """Concentration head alpha = softplus(z) + 1, elementwise.
 
-    Every entry is strictly greater than 1 for finite logits, which is the
-    validity condition of the closed-form maximiser.
+    ``logits`` is one row of K logits or a (..., K) batch of rows; the result
+    holds one concentration vector per row.  Every entry is strictly greater
+    than 1 for finite logits, which is the validity condition of the
+    closed-form maximiser.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError(f"logits must be a 1-d vector, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if z.ndim == 0:
+        raise ValueError("logits must be a vector or a batch of vectors, got a scalar")
+    if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
     return DirichletParams(softplus(z) + 1.0)
 
@@ -128,6 +130,7 @@ def closed_form_maximiser(d: DirichletParams, y: int) -> SimplexPoint:
     Valid only when every alpha_k > 1, which keeps the stationary point
     strictly inside the simplex.
     """
+    _require_single(d.alpha)
     if not 0 <= y < d.k:
         raise ValueError(f"label {y} out of range for {d.k} classes")
     if np.any(d.alpha <= 1.0):
@@ -147,6 +150,7 @@ def multi_observation_maximiser(d: DirichletParams, ys) -> SimplexPoint:
     the alpha_k > 1 condition.  Conflicting labels are allowed and pull the
     maximiser toward the barycentre.
     """
+    _require_single(d.alpha)
     labels = np.asarray(ys)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("need at least one observation")
@@ -170,6 +174,7 @@ def surrogate_log_possibility(d: DirichletParams, p_star: SimplexPoint, eps: flo
     alpha0 log alpha0 + sum_k alpha_k log(q_k / alpha_k).  Always <= 0 up to
     eps effects, with equality toward the mode.
     """
+    _require_single(d.alpha, p_star.probs)
     if d.k != p_star.k:
         raise ValueError(f"dimension mismatch: {d.k} vs {p_star.k}")
     if not 0.0 < eps <= 1e-4:
@@ -185,6 +190,7 @@ def surrogate_log_possibility(d: DirichletParams, p_star: SimplexPoint, eps: flo
 
 def spurious_evidence_regulariser(d: DirichletParams, y: int) -> float:
     """Squared concentration mass on wrong classes: sum_{k != y} alpha_k^2."""
+    _require_single(d.alpha)
     if not 0 <= y < d.k:
         raise ValueError(f"label {y} out of range for {d.k} classes")
     off = np.delete(d.alpha, y)

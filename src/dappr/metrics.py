@@ -23,35 +23,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAlphaError, MetricUndefinedError
-from .possibility import DirichletParams, SimplexPoint
+from .possibility import DirichletParams, SimplexPoint, _row_value
 
 log = logging.getLogger("dappr")
 
 ECE_BINS = 15
 
 
-def aleatoric_uncertainty(d: DirichletParams) -> float:
-    """First-order uncertainty 1 - max_k alpha_k / alpha_0, in [0, 1 - 1/K]."""
-    if d.alpha0 == 0.0:
+def aleatoric_uncertainty(d: DirichletParams):
+    """First-order uncertainty 1 - max_k alpha_k / alpha_0, in [0, 1 - 1/K].
+
+    One value per row of ``d``: a float for a single concentration vector.
+    """
+    if np.any(d.alpha0 == 0.0):
         raise DegenerateAlphaError("aleatoric uncertainty undefined for alpha0 == 0")
-    return 1.0 - float(d.alpha.max()) / d.alpha0
+    return _row_value(1.0 - d.alpha.max(axis=-1) / d.alpha0)
 
 
-def epistemic_uncertainty(d: DirichletParams) -> float:
-    """Second-order uncertainty K / alpha_0.
+def epistemic_uncertainty(d: DirichletParams):
+    """Second-order uncertainty K / alpha_0, one value per row of ``d``.
 
     Under the softplus-plus-one head alpha_0 > K, so the value lies in (0, 1)
     and shrinks as total concentration grows.
     """
-    if d.alpha0 == 0.0:
+    if np.any(d.alpha0 == 0.0):
         raise DegenerateAlphaError("epistemic uncertainty undefined for alpha0 == 0")
-    return d.k / d.alpha0
+    return _row_value(d.k / d.alpha0)
 
 
-def softmax_entropy(p: SimplexPoint) -> float:
-    """Shannon entropy in nats, with the 0 log 0 = 0 convention."""
-    q = p.probs[p.probs > 0.0]
-    return float(-np.sum(q * np.log(q)))
+def softmax_entropy(p: SimplexPoint):
+    """Shannon entropy in nats per row of ``p``, with the 0 log 0 = 0 convention."""
+    probs = p.probs
+    # log(1) = 0 in place of log(0) makes each p_k = 0 term exactly 0.
+    terms = probs * np.log(np.where(probs > 0.0, probs, 1.0))
+    return _row_value(-terms.sum(axis=-1))
 
 
 def _check_binary(labels, scores):
@@ -85,14 +90,13 @@ def auroc(labels, scores) -> float:
     y, s, n_pos = _check_binary(labels, scores)
     n = y.size
     order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    # Runs of tied scores in sorted order: positions i..j share the average
+    # of their 1-based ranks, (i + j + 2) / 2.
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], n) - 1
     ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j + 2) / 2.0  # average of 1-based ranks
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends + 2) / 2.0, ends - starts + 1)
     u = float(np.sum(ranks[y == 1])) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * (n - n_pos))
 

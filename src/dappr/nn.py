@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .loss import (LossConfig, cross_entropy_loss, dappr_loss, softplus,
-                   vacuous_evidence_penalty)
+                   softplus_plus_one, vacuous_evidence_penalty)
 from .possibility import DirichletParams
 
 OPTIMIZERS = ("adam", "sgd")
@@ -267,10 +267,9 @@ def predict_labels(params: NetworkParams, x) -> np.ndarray:
     return np.argmax(forward(params, x), axis=1)
 
 
-def predict_alpha(params: NetworkParams, x) -> list[DirichletParams]:
-    """Concentration parameters (softplus(z) + 1) for each input row."""
-    logits = forward(params, x)
-    return [DirichletParams(row) for row in softplus(logits) + 1.0]
+def predict_alpha(params: NetworkParams, x) -> DirichletParams:
+    """Concentration parameters softplus(z) + 1: one (N, K) batch for N input rows."""
+    return softplus_plus_one(forward(params, x))
 
 
 def save_checkpoint(params: NetworkParams, path) -> None:
@@ -299,7 +298,12 @@ def load_checkpoint(path) -> NetworkParams:
         raise ValueError(f"malformed checkpoint {path}: {exc}") from exc
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"malformed checkpoint {path}: bad loss_kind {loss_kind!r}")
+    if len(weights) != len(sizes) - 1:
+        raise ValueError(f"malformed checkpoint {path}: {len(weights)} layers stored, "
+                         f"layer_sizes {list(sizes)} need {len(sizes) - 1}")
     for i, (w, b) in enumerate(zip(weights, biases)):
         if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
             raise ValueError(f"malformed checkpoint {path}: layer {i} shape mismatch")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"malformed checkpoint {path}: layer {i} has non-finite values")
     return NetworkParams(sizes, weights, biases, seed, loss_kind)

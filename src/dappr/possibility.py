@@ -28,7 +28,6 @@ closed-form result in :mod:`dappr.loss`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -48,53 +47,103 @@ def _as_float_vector(x, name: str) -> np.ndarray:
     return arr
 
 
+def _as_float_rows(x, name: str) -> np.ndarray:
+    """A C-ordered float64 copy of a vector or a batch of vectors.
+
+    The last axis holds the K coordinates of each row; every leading axis is a
+    batch axis.  C order makes each row's reductions add in the same order as
+    the row on its own, so batch and per-row results agree bit for bit.
+    """
+    arr = np.array(x, dtype=np.float64, order="C")
+    if arr.ndim == 0:
+        raise ValueError(f"{name} must be a vector or a batch of vectors, got a scalar")
+    if arr.shape[-1] == 0:
+        raise ValueError(f"{name} must be non-empty")
+    return arr
+
+
+def _first_bad_row(rows: np.ndarray, bad: np.ndarray) -> np.ndarray | None:
+    """The first row of a (..., K) array whose per-row flag is set, or None."""
+    flat = bad.reshape(-1)
+    if not flat.any():
+        return None
+    return rows.reshape(-1, rows.shape[-1])[int(flat.argmax())]
+
+
+def _row_value(values):
+    """A Python float for a single row, the per-row array for a batch."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexPoint:
-    """A probability vector: entries in [0, 1] summing to 1 within 1e-9."""
+    """Probability vectors of shape (..., K): each row has entries in [0, 1]
+    summing to 1 within 1e-9.
+
+    A 1-d ``probs`` is one point; leading axes make a batch of points, each
+    validated by the same rules as on its own.
+    """
 
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = _as_float_vector(self.probs, "probs").copy()
-        if probs.size < 2:
+        probs = _as_float_rows(self.probs, "probs")
+        if probs.shape[-1] < 2:
             raise ValueError("simplex points need at least 2 coordinates")
-        if not np.all(np.isfinite(probs)):
+        if not np.isfinite(probs).all():
             raise ValueError("probabilities must be finite")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValueError(f"probabilities must lie in [0, 1], got {probs}")
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
+        row = _first_bad_row(probs, ((probs < 0.0) | (probs > 1.0)).any(axis=-1))
+        if row is not None:
+            raise ValueError(f"probabilities must lie in [0, 1], got {row}")
+        totals = probs.sum(axis=-1, keepdims=True)
+        row = _first_bad_row(totals, np.abs(totals[..., 0] - 1.0) > 1e-9)
+        if row is not None:
+            raise ValueError(f"probabilities must sum to 1, got {float(row[0])!r}")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
     @property
     def k(self) -> int:
-        return self.probs.size
+        return self.probs.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class DirichletParams:
-    """Non-negative concentration vector; ``alpha0`` is its sum."""
+    """Non-negative concentration vectors of shape (..., K).
+
+    ``alpha0`` is the per-row sum: a float for a 1-d ``alpha`` and an array
+    of the batch shape otherwise.
+    """
 
     alpha: np.ndarray
-    alpha0: float = field(init=False)
+    alpha0: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        alpha = _as_float_vector(self.alpha, "alpha").copy()
-        if alpha.size < 2:
+        alpha = _as_float_rows(self.alpha, "alpha")
+        if alpha.shape[-1] < 2:
             raise ValueError("need at least 2 concentration entries")
-        if not np.all(np.isfinite(alpha)):
+        if not np.isfinite(alpha).all():
             raise ValueError("concentrations must be finite")
-        if np.any(alpha < 0.0):
-            raise ValueError(f"concentrations must be non-negative, got {alpha}")
+        row = _first_bad_row(alpha, (alpha < 0.0).any(axis=-1))
+        if row is not None:
+            raise ValueError(f"concentrations must be non-negative, got {row}")
         alpha.setflags(write=False)
+        alpha0 = _row_value(alpha.sum(axis=-1))
+        if isinstance(alpha0, np.ndarray):
+            alpha0.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "alpha0", float(alpha.sum()))
+        object.__setattr__(self, "alpha0", alpha0)
 
     @property
     def k(self) -> int:
-        return self.alpha.size
+        return self.alpha.shape[-1]
+
+
+def _require_single(*arrays: np.ndarray) -> None:
+    """Reject a batch where an operation is defined for one vector."""
+    for arr in arrays:
+        if arr.ndim != 1:
+            raise ValueError(f"expected a single vector, got a batch of shape {arr.shape}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +198,9 @@ class SimplexGrid:
         return self.points_array.shape[0]
 
     @property
-    def points(self) -> list[SimplexPoint]:
-        return [SimplexPoint(row) for row in self.points_array]
+    def points(self) -> SimplexPoint:
+        """Every grid point as one batched SimplexPoint, rows in grid order."""
+        return SimplexPoint(self.points_array)
 
 
 def default_grid_resolution(k: int) -> int:
@@ -172,49 +222,54 @@ def simplex_grid(k: int, m: int) -> SimplexGrid:
         raise ValueError(f"need k >= 2, got {k}")
     if m < 1:
         raise ValueError(f"need resolution m >= 1, got {m}")
-    # Stars and bars: each (k-1)-subset of {0..m+k-2} is one composition,
-    # and combinations() emits subsets in lexicographic order.
-    counts = np.empty((math.comb(m + k - 1, k - 1), k), dtype=np.float64)
-    boundary = m + k - 1
-    for i, bars in enumerate(itertools.combinations(range(boundary), k - 1)):
-        prev = -1
-        for j, b in enumerate(bars):
-            counts[i, j] = b - prev - 1
-            prev = b
-        counts[i, k - 1] = boundary - prev - 1
+    # Lexicographic order of the compositions: each prefix row expands, in
+    # order, into one row per value 0..left of the next part, where ``left``
+    # is what the prefix leaves of m; the last part takes the rest.
+    counts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([m])
+    for _ in range(k - 1):
+        sizes = left + 1
+        part = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        counts = np.column_stack([np.repeat(counts, sizes, axis=0), part])
+        left = np.repeat(left, sizes) - part
+    counts = np.column_stack([counts, left])
     return SimplexGrid(resolution=m, points_array=counts / m)
 
 
-def log_dirichlet_possibility(d: DirichletParams, p: SimplexPoint) -> float:
+def log_dirichlet_possibility(d: DirichletParams, p: SimplexPoint):
     """Log of the Dirichlet-shaped possibility of p under concentrations d.
 
-    Returns 0.0 when alpha0 == 0 (total ignorance: the possibility function
-    is identically 1) and -inf when some p_k is 0 where alpha_k > 0.
+    ``d.alpha`` and ``p.probs`` broadcast over their leading axes; the result
+    is a float when both are 1-d and a per-row array otherwise.  A row gives
+    0.0 when its alpha0 == 0 (total ignorance: the possibility function is
+    identically 1) and -inf when some p_k is 0 where alpha_k > 0.
     """
     if d.k != p.k:
         raise ValueError(f"dimension mismatch: alpha has {d.k} entries, p has {p.k}")
-    if d.alpha0 == 0.0:
-        return 0.0
-    active = d.alpha > 0.0
-    a = d.alpha[active]
-    q = p.probs[active]
-    if np.any(q == 0.0):
-        return -math.inf
+    alpha, probs = d.alpha, p.probs
+    active = alpha > 0.0
     # Ratio against the mode coordinate: exactly 1.0 at the mode, which makes
-    # the mode evaluate to exactly 0.0.
-    return float(np.sum(a * np.log(q / (a / d.alpha0))))
+    # the mode evaluate to exactly 0.0.  Inactive terms (0/0, p/0) are
+    # computed and then replaced by the 0^0 = 1 convention's zero; a row
+    # summing inf and -inf is set to -inf below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mode = alpha / np.expand_dims(d.alpha0, -1)
+        terms = alpha * np.log(probs / mode)
+        log_g = np.where(active, terms, 0.0).sum(axis=-1)
+    vanishing = (active & (probs == 0.0)).any(axis=-1)
+    return _row_value(np.where(vanishing, -math.inf, log_g))
 
 
-def dirichlet_possibility(d: DirichletParams, p: SimplexPoint) -> float:
-    """Possibility g(p; alpha) = exp(log_dirichlet_possibility)."""
-    return math.exp(log_dirichlet_possibility(d, p))
+def dirichlet_possibility(d: DirichletParams, p: SimplexPoint):
+    """Possibility g(p; alpha) = exp(log_dirichlet_possibility), per row."""
+    return _row_value(np.exp(log_dirichlet_possibility(d, p)))
 
 
 def dirichlet_mode(d: DirichletParams) -> SimplexPoint:
-    """The unique maximiser alpha / alpha0 of the possibility function."""
-    if d.alpha0 == 0.0:
+    """The unique maximiser alpha / alpha0 of each row's possibility function."""
+    if np.any(d.alpha0 == 0.0):
         raise DegenerateAlphaError("mode undefined for alpha0 == 0")
-    return SimplexPoint(d.alpha / d.alpha0)
+    return SimplexPoint(d.alpha / np.expand_dims(d.alpha0, -1))
 
 
 def possibilistic_posterior(losses) -> PossibilityTable:
@@ -284,6 +339,7 @@ def grid_argmax_surrogate(
     floored at 1e-12 inside the logarithms; ties resolve to the first point in
     grid order.
     """
+    _require_single(d.alpha)
     if not 0 <= y < d.k:
         raise ValueError(f"label {y} out of range for {d.k} classes")
     if grid.k != d.k:

@@ -329,6 +329,52 @@ def test_cli_bad_arguments_exit_one(capsys):
     assert "error:" in err
 
 
+def _single_error_line(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "Traceback" not in err
+    return lines[0]
+
+
+def test_config_rejects_wrong_types():
+    with pytest.raises(ValueError, match=r"model\.epochs must be int, got '60'"):
+        config_from_dict({"model": {"epochs": "60"}})
+    with pytest.raises(ValueError, match=r"loss\.lam must be float"):
+        config_from_dict({"loss": {"lam": True}})
+    with pytest.raises(ValueError, match=r"config\.seeds must be tuple\[int, \.\.\.\]"):
+        config_from_dict({"seeds": [1, "2"]})
+    with pytest.raises(ValueError, match=r"ood\.n must be int \| None"):
+        config_from_dict({"ood": [{"n": 1.5}]})
+    with pytest.raises(ValueError, match=r"config\.split_fractions"):
+        config_from_dict({"split_fractions": [0.5, 0.5]})
+    # JSON ints are valid floats; None fills optional fields
+    cfg = config_from_dict({"loss": {"lam": 0}, "ood": [{"n": None}]})
+    assert cfg.loss.lam == 0 and cfg.ood[0].n is None
+
+
+def test_cli_wrong_config_type_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"epochs": "60"}}))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert "model.epochs" in line
+
+
+def test_cli_eval_rejects_truncated_checkpoint(tmp_path, capsys):
+    cfg = tiny_config(tmp_path, model={"hidden": [8, 8], "epochs": 1})
+    run_train(cfg)
+    ckpt = tmp_path / "out" / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    doc["weights"] = doc["weights"][:1]
+    ckpt.write_text(json.dumps(doc))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert "malformed checkpoint" in line
+
+
 def test_cli_ood_runner_and_lambda_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

@@ -176,3 +176,63 @@ def test_reliability_bins_csv_blanks_empty_bins(tmp_path):
     assert len(empties) == ECE_BINS - 1
     full = [ln for ln in lines[1:] if not ln.endswith(",0")]
     assert len(full) == 1 and full[0].endswith("0.5,1.0,1")
+
+
+# ---------------------------------------------------------------------------
+# batches of rows: every batched value equals the value of its row alone
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10).flatmap(lambda k: st.lists(
+    st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1e3)), min_size=k, max_size=k)
+    .filter(lambda row: sum(row) > 0), min_size=1, max_size=8)))
+def test_batched_uncertainty_split_equals_each_row(rows):
+    alpha = np.array(rows)
+    d = DirichletParams(alpha)
+    alea, epi = aleatoric_uncertainty(d), epistemic_uncertainty(d)
+    assert alea.shape == epi.shape == (alpha.shape[0],)
+    for i, row in enumerate(alpha):
+        d_i = DirichletParams(row)
+        assert isinstance(aleatoric_uncertainty(d_i), float)
+        assert isinstance(epistemic_uncertainty(d_i), float)
+        assert alea[i] == aleatoric_uncertainty(d_i) == 1.0 - row.max() / row.sum()
+        assert epi[i] == epistemic_uncertainty(d_i) == row.size / row.sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(lambda c: sum(c) > 0),
+    min_size=1, max_size=8)))
+def test_batched_softmax_entropy_equals_each_row(rows):
+    counts = np.array(rows, dtype=np.float64)
+    probs = counts / counts.sum(axis=1, keepdims=True)
+    entropy = softmax_entropy(SimplexPoint(probs))
+    assert entropy.shape == (probs.shape[0],)
+    for i, row in enumerate(probs):
+        assert isinstance(softmax_entropy(SimplexPoint(row)), float)
+        assert entropy[i] == softmax_entropy(SimplexPoint(row))
+        # the one-vector definition over the nonzero entries only; zeros in
+        # place of the p_k = 0 terms change at most the last bits
+        q = row[row > 0.0]
+        assert entropy[i] == pytest.approx(-np.sum(q * np.log(q)), rel=1e-14, abs=1e-14)
+
+
+def test_batched_uncertainty_rejects_a_degenerate_row():
+    d = DirichletParams(np.array([[2.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(DegenerateAlphaError):
+        aleatoric_uncertainty(d)
+    with pytest.raises(DegenerateAlphaError):
+        epistemic_uncertainty(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 2000), st.sampled_from([1, 2, 3, 10, 1000]),
+       st.integers(0, 2**32 - 1))
+def test_auroc_matches_pairwise_count_with_heavy_ties(n, levels, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = (0, 1)
+    scores = rng.integers(0, levels, size=n) / 7.0
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    wins = (pos[:, None] > neg).sum() + 0.5 * (pos[:, None] == neg).sum()
+    assert auroc(labels, scores) == wins / (pos.size * neg.size)

@@ -313,10 +313,9 @@ def test_predict_alpha_consistent_with_head():
     x = np.random.default_rng(1).normal(size=(4, 2))
     alphas = predict_alpha(p, x)
     logits = forward(p, x)
-    want = softplus(logits) + 1.0
-    assert len(alphas) == 4
-    for row, d in zip(want, alphas):
-        assert np.allclose(d.alpha, row, atol=0)
+    assert alphas.alpha.shape == (4, 3)
+    assert np.array_equal(alphas.alpha, softplus(logits) + 1.0)
+    assert np.array_equal(alphas.alpha0, alphas.alpha.sum(axis=1))
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -340,4 +339,34 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     doc["layer_sizes"] = [2, 5, 3]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncated_layer_list(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_network((2, 8, 8, 3), seed=0), path)
+    import json
+
+    doc = json.loads(path.read_text())
+    doc["weights"] = doc["weights"][:1]  # 2-8 only: would return 8 logits per row
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="1 layers stored"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("part,value", [(0, float("nan")), (0, float("inf")),
+                                        (1, float("nan")), (1, float("-inf"))])
+def test_checkpoint_rejects_non_finite_values(tmp_path, part, value):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_network((2, 6, 3), seed=0), path)
+    import json
+
+    doc = json.loads(path.read_text())
+    layer = doc["weights"][1][part]
+    if part == 0:
+        layer[2][1] = value
+    else:
+        layer[1] = value
+    path.write_text(json.dumps(doc))  # json writes NaN / Infinity literals
+    with pytest.raises(ValueError, match="layer 1 has non-finite values"):
         load_checkpoint(path)

@@ -153,8 +153,7 @@ def test_grid_sup_close_to_one_from_below(alpha):
     """The grid never exceeds the true sup of 1 and gets within O(1/m)."""
     d = DirichletParams(np.array(alpha))
     g = simplex_grid(3, 50)
-    vals = [dirichlet_possibility(d, p) for p in g.points]
-    sup = max(vals)
+    sup = dirichlet_possibility(d, g.points).max()
     assert sup <= 1.0 + 1e-9
     assert sup >= 1.0 - 5.0 / 50
 
@@ -250,3 +249,121 @@ def test_grid_argmax_is_deterministic():
     a = grid_argmax_surrogate(d, 0, g)
     b = grid_argmax_surrogate(d, 0, g)
     assert np.array_equal(a.probs, b.probs)
+
+
+# ---------------------------------------------------------------------------
+# batches of rows: every batched value equals the value of its row alone
+
+
+@st.composite
+def dirichlet_batches(draw):
+    """(alpha, probs) of shape (n, k), with zero concentrations, alpha0 == 0
+    rows and boundary points (zero coordinates) all reachable."""
+    k = draw(st.integers(2, 10))
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 50.0))
+    alpha = np.array(draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                                   min_size=n, max_size=n)))
+    counts = draw(st.lists(
+        st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(lambda c: sum(c) > 0),
+        min_size=n, max_size=n))
+    counts = np.array(counts, dtype=np.float64)
+    return alpha, counts / counts.sum(axis=1, keepdims=True)
+
+
+def _scalar_log_possibility(alpha, probs) -> float:
+    """The one-vector definition: active terms only, -inf on a vanishing p_k."""
+    alpha0 = float(alpha.sum())
+    if alpha0 == 0.0:
+        return 0.0
+    a, q = alpha[alpha > 0.0], probs[alpha > 0.0]
+    if np.any(q == 0.0):
+        return -math.inf
+    return float(np.sum(a * np.log(q / (a / alpha0))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dirichlet_batches())
+def test_batched_possibility_equals_each_row(batch):
+    alpha, probs = batch
+    d, p = DirichletParams(alpha), SimplexPoint(probs)
+    log_g = log_dirichlet_possibility(d, p)
+    g = dirichlet_possibility(d, p)
+    # one concentration vector broadcast against every point
+    log_g_first = log_dirichlet_possibility(DirichletParams(alpha[0]), p)
+    assert log_g.shape == g.shape == log_g_first.shape == (alpha.shape[0],)
+    for i in range(alpha.shape[0]):
+        d_i, p_i = DirichletParams(alpha[i]), SimplexPoint(probs[i])
+        want = log_dirichlet_possibility(d_i, p_i)
+        assert isinstance(want, float)
+        assert log_g[i] == want
+        # summing zeros in place of inactive terms changes at most the last bits
+        assert want == pytest.approx(_scalar_log_possibility(alpha[i], probs[i]),
+                                     rel=1e-14, abs=1e-14)
+        assert g[i] == dirichlet_possibility(d_i, p_i)
+        assert log_g_first[i] == log_dirichlet_possibility(DirichletParams(alpha[0]), p_i)
+        assert d.alpha0[i] == d_i.alpha0
+
+
+def test_batched_possibility_conventions():
+    d = DirichletParams(np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 0.0], [2.0, 1.0, 0.0]]))
+    p = SimplexPoint(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]))
+    log_g = log_dirichlet_possibility(d, p)
+    assert log_g[0] == 0.0  # alpha0 == 0: total ignorance
+    assert log_g[1] == -math.inf  # p_k == 0 where alpha_k > 0
+    assert math.isfinite(log_g[2])  # p_k == 0 only where alpha_k == 0
+    # A mode coordinate that underflows to 0 makes its term +inf; a vanishing
+    # p_k elsewhere still gives -inf, not inf - inf = nan.
+    tiny = DirichletParams(np.array([5e-324, 1.0, 1.0]))
+    assert log_dirichlet_possibility(tiny, SimplexPoint(np.array([0.5, 0.5, 0.0]))) == -math.inf
+    assert isinstance(d.alpha0, np.ndarray) and d.alpha0.shape == (3,)
+
+
+def test_grid_points_are_one_batch():
+    g = simplex_grid(3, 7)
+    points = g.points
+    assert isinstance(points, SimplexPoint)
+    assert np.array_equal(points.probs, g.points_array)
+
+
+def _message(cls, values) -> str:
+    with pytest.raises(ValueError) as err:
+        cls(values)
+    return str(err.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 6), st.data(),
+       st.sampled_from(["negative", "above_one", "nan", "inf", "off_simplex"]))
+def test_simplex_batch_rejects_bad_row_like_the_row_alone(k, n, data, kind):
+    rows = np.full((n, k), 1.0 / k)
+    bad = np.full(k, 1.0 / k)
+    if kind == "negative":
+        bad[0], bad[1] = -0.25, bad[1] + 0.25
+    elif kind == "above_one":
+        bad[0], bad[1] = 1.25, bad[1] - 0.25
+    elif kind == "nan":
+        bad[0] = math.nan
+    elif kind == "inf":
+        bad[0] = math.inf
+    else:
+        bad[0] += 1e-6
+    rows[data.draw(st.integers(0, n - 1))] = bad
+    assert _message(SimplexPoint, rows) == _message(SimplexPoint, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 6), st.data(),
+       st.sampled_from([-0.5, math.nan, math.inf, -math.inf]))
+def test_dirichlet_batch_rejects_bad_row_like_the_row_alone(k, n, data, value):
+    rows = np.ones((n, k))
+    bad = np.ones(k)
+    bad[data.draw(st.integers(0, k - 1))] = value
+    rows[data.draw(st.integers(0, n - 1))] = bad
+    assert _message(DirichletParams, rows) == _message(DirichletParams, bad)
+
+
+def test_single_vector_operations_reject_batches():
+    d = DirichletParams(np.full((2, 3), 2.0))
+    with pytest.raises(ValueError, match="single vector"):
+        grid_argmax_surrogate(d, 0, simplex_grid(3, 10))
