@@ -13,7 +13,7 @@ import numpy as np
 
 from .loss import (VACUOUS_WEIGHT, LossConfig, lambda_schedule, one_hot,
                    softplus)
-from .nn import NetworkParams, forward
+from .nn import NetworkParams, flat_gradient, forward
 
 FD_STEP = 1e-5
 
@@ -108,7 +108,7 @@ def network_fd_gradient(params: NetworkParams, x, labels, value_fn,
 
 
 def flatten_network_grads(grads_w, grads_b) -> np.ndarray:
-    return np.concatenate([g.ravel() for g in grads_w + grads_b])
+    return flat_gradient(grads_w, grads_b)
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

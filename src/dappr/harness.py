@@ -12,7 +12,6 @@ themselves return raw [0, 1] values.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import time
@@ -35,7 +34,8 @@ from .metrics import (aleatoric_uncertainty, aupr, auroc, ece,
                       epistemic_uncertainty, reliability_bins,
                       softmax_entropy)
 from .nn import (NetworkParams, TrainConfig, _Adam, _forward_cached, backward,
-                 forward, init_network, save_checkpoint, train)
+                 flat_gradient, forward, init_network, network_slice, pack_network,
+                 save_checkpoint, train)
 from .possibility import (DirichletParams, PossibilityTable, SimplexPoint,
                           default_grid_resolution, dirichlet_mode,
                           dirichlet_possibility, grid_argmax_surrogate,
@@ -670,10 +670,16 @@ def run_lambda_sweep(cfg: ExperimentConfig) -> dict:
 
 
 def _soft_label_finetune(params: NetworkParams, rest_x, rest_y, forced_x,
-                         forced_target, probe: ProbeSpec, batch_size: int):
-    """Fine-tune a copy of params on rest + the forced sample in every batch."""
-    tuned = copy.deepcopy(params)
-    flat = tuned.weights + tuned.biases
+                         forced_targets, probe: ProbeSpec, batch_size: int):
+    """Fine-tune one copy of params per forced target, as one stacked network.
+
+    Every batch is the same rest rows plus the forced sample; copy s sees
+    ``forced_targets[s]`` as that sample's target.  Returns the stack from
+    ``pack_network(params, copies=len(forced_targets))``.
+    """
+    copies = forced_targets.shape[0]
+    flat, tuned = pack_network(params, copies=copies)
+    grad = np.empty_like(flat)
     opt = _Adam(flat, probe.finetune_lr)
     n = rest_x.shape[0]
     k = tuned.layer_sizes[-1]
@@ -683,11 +689,13 @@ def _soft_label_finetune(params: NetworkParams, rest_x, rest_y, forced_x,
         for start in range(0, n, batch_size):
             idx = perm[start:start + batch_size]
             xb = np.vstack([rest_x[idx], forced_x[None, :]])
-            targets = np.vstack([rest_targets[idx], forced_target[None, :]])
+            targets = np.empty((copies, idx.size + 1, k))
+            targets[:, :-1] = rest_targets[idx]
+            targets[:, -1] = forced_targets
             pre, acts = _forward_cached(tuned, xb)
-            grad = (softmax(pre[-1]) - targets) / xb.shape[0]
-            grads_w, grads_b = backward(tuned, pre, acts, grad)
-            opt.step(flat, grads_w + grads_b)
+            delta = (softmax(pre[-1]) - targets) / xb.shape[0]
+            grads_w, grads_b = backward(tuned, pre, acts, delta)
+            opt.step(flat, flat_gradient(grads_w, grads_b, grad))
     return tuned
 
 
@@ -703,7 +711,8 @@ def run_probe(cfg: ExperimentConfig) -> dict:
 
     Trains a cross-entropy base model on the full dataset, then for each
     probed sample fine-tunes one copy with the true label forced into every
-    batch and several copies with random soft labels instead.  S_x is the
+    batch and several copies with random soft labels instead, all copies of
+    one sample as one stacked network.  S_x is the
     largest shift of the leave-one-out loss (sum of cross-entropies over the
     other samples) caused by the label swap; small S_x / L_true justifies the
     one-term approximation of the posterior around the observed labels.
@@ -727,17 +736,15 @@ def run_probe(cfg: ExperimentConfig) -> dict:
         mask[x_idx] = False
         rest_x, rest_y = ds.features[mask], ds.labels[mask]
         forced_x = ds.features[x_idx]
-        true_target = one_hot(np.array([ds.labels[x_idx]]), ds.n_classes)[0]
+        targets = np.vstack(
+            [one_hot(np.array([ds.labels[x_idx]]), ds.n_classes)]
+            + [rng.dirichlet(np.ones(ds.n_classes)) for _ in range(cfg.probe.n_perturbations)])
 
-        tuned = _soft_label_finetune(base, rest_x, rest_y, forced_x, true_target,
+        tuned = _soft_label_finetune(base, rest_x, rest_y, forced_x, targets,
                                      cfg.probe, cfg.model.batch_size)
-        l_true = _total_cross_entropy(tuned, rest_x, rest_y)
-        worst = 0.0
-        for _ in range(cfg.probe.n_perturbations):
-            soft = rng.dirichlet(np.ones(ds.n_classes))
-            tuned_p = _soft_label_finetune(base, rest_x, rest_y, forced_x, soft,
-                                           cfg.probe, cfg.model.batch_size)
-            worst = max(worst, abs(_total_cross_entropy(tuned_p, rest_x, rest_y) - l_true))
+        l_true, *l_soft = [_total_cross_entropy(network_slice(tuned, s), rest_x, rest_y)
+                           for s in range(targets.shape[0])]
+        worst = max([0.0] + [abs(l_p - l_true) for l_p in l_soft])
         rows.append((int(x_idx), l_true, worst, worst / l_true))
 
     ratios = sorted(r[3] for r in rows)

@@ -89,10 +89,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-d logit array, shift-stabilised."""
-    shifted = z - z.max(axis=1, keepdims=True)
+    """Softmax over the last axis of a (..., K) logit array, shift-stabilised."""
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softplus_plus_one(logits) -> DirichletParams:
@@ -238,7 +238,8 @@ def dappr_loss(logits, labels, cfg: LossConfig, epoch: int = 0) -> LossOutput:
     y = one_hot(labels, k)
     lam_t = lambda_schedule(cfg, epoch)
 
-    alpha = softplus(z) + 1.0
+    sp = softplus(z)
+    alpha = sp + 1.0
     alpha0 = alpha.sum(axis=1, keepdims=True)
     a_star = alpha - y + cfg.eps
     p_star = a_star / a_star.sum(axis=1, keepdims=True)
@@ -255,7 +256,8 @@ def dappr_loss(logits, labels, cfg: LossConfig, epoch: int = 0) -> LossOutput:
     value = surrogate_mean + lam_t * penalty_mean
 
     grad_alpha = np.log(alpha0 * p_star / alpha) + 2.0 * lam_t * alpha * off
-    grad_logits = grad_alpha * sigmoid(z) / b
+    # -expm1(-softplus(z)) is sigmoid(z), reusing the softplus above
+    grad_logits = grad_alpha * -np.expm1(-sp) / b
 
     return LossOutput(
         value=value,
@@ -276,7 +278,7 @@ def vacuous_evidence_penalty(logits):
     z = _check_logits(logits)
     evidence = softplus(z)
     value = VACUOUS_WEIGHT * float(np.sum(evidence * evidence)) / z.shape[0]
-    grad_logits = (2.0 * VACUOUS_WEIGHT / z.shape[0]) * evidence * sigmoid(z)
+    grad_logits = (2.0 * VACUOUS_WEIGHT / z.shape[0]) * evidence * -np.expm1(-evidence)
     return value, grad_logits
 
 

@@ -14,8 +14,8 @@ data do not constrain get alpha0 near K.
 
 from __future__ import annotations
 
-import copy
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -96,6 +96,44 @@ def init_network(layer_sizes, seed: int, loss_kind: str = "dappr") -> NetworkPar
     return NetworkParams(sizes, weights, biases, int(seed), loss_kind)
 
 
+def pack_network(params: NetworkParams, copies: int | None = None):
+    """(flat, packed): a copy of params whose arrays are views into one buffer.
+
+    ``flat`` is a contiguous float64 vector holding every weight, then every
+    bias, layer by layer; ``packed`` is a NetworkParams whose weights and
+    biases are views into it, so an update of ``flat`` updates the network.
+    With ``copies=S`` the views carry a leading network axis, (S, n_in, n_out)
+    weights and (S, 1, n_out) biases, each slice a copy of params.
+    """
+    lead, bias_lead = ((), ()) if copies is None else ((copies,), (copies, 1))
+    shapes = ([lead + w.shape for w in params.weights]
+              + [bias_lead + b.shape for b in params.biases])
+    flat = np.empty(sum(math.prod(shape) for shape in shapes))
+    views, at = [], 0
+    for shape, value in zip(shapes, params.weights + params.biases):
+        size = math.prod(shape)
+        view = flat[at:at + size].reshape(shape)
+        view[...] = value
+        views.append(view)
+        at += size
+    n = len(params.weights)
+    return flat, replace(params, weights=views[:n], biases=views[n:])
+
+
+def network_slice(params: NetworkParams, s: int) -> NetworkParams:
+    """Network s of a stack from pack_network(copies=S), as views."""
+    return replace(params, weights=[w[s] for w in params.weights],
+                   biases=[b[s, 0] for b in params.biases])
+
+
+def flat_gradient(grads_w, grads_b, out: np.ndarray | None = None) -> np.ndarray:
+    """backward's gradients as one vector in pack_network's buffer order.
+
+    Written into ``out`` when given, so a training loop reuses one buffer.
+    """
+    return np.concatenate([g.reshape(-1) for g in grads_w + grads_b], out=out)
+
+
 def _forward_cached(params: NetworkParams, x: np.ndarray):
     acts = [x]
     pre = []
@@ -120,42 +158,46 @@ def forward(params: NetworkParams, x) -> np.ndarray:
 
 
 def backward(params: NetworkParams, pre, acts, grad_logits):
-    """Weight and bias gradients from a logit gradient (chain rule only)."""
+    """Weight and bias gradients from a logit gradient (chain rule only).
+
+    Works for one network or a stack from pack_network(copies=S); a stack's
+    gradients are (S, n_in, n_out) and (S, n_out).
+    """
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
     delta = grad_logits
     for i in range(len(params.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        grads_w[i] = acts[i].swapaxes(-1, -2) @ delta
+        grads_b[i] = delta.sum(axis=-2)
         if i > 0:
-            delta = (delta @ params.weights[i].T) * (pre[i - 1] > 0.0)
+            delta = (delta @ params.weights[i].swapaxes(-1, -2)) * (pre[i - 1] > 0.0)
     return grads_w, grads_b
 
 
 class _Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam (Kingma & Ba, 2015) as one update of a flat parameter buffer."""
+
+    def __init__(self, flat, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(a) for a in params]
-        self.v = [np.zeros_like(a) for a in params]
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
 
-    def step(self, params, grads):
+    def step(self, flat, grad):
         self.t += 1
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
-            m_hat = self.m[i] / (1 - self.b1**self.t)
-            v_hat = self.v[i] / (1 - self.b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.b1 * self.m + (1 - self.b1) * grad
+        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
+        m_hat = self.m / (1 - self.b1**self.t)
+        v_hat = self.v / (1 - self.b2**self.t)
+        flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class _Sgd:
-    def __init__(self, params, lr):
+    def __init__(self, flat, lr):
         self.lr = lr
 
-    def step(self, params, grads):
-        for p, g in zip(params, grads):
-            p -= self.lr * g
+    def step(self, flat, grad):
+        flat -= self.lr * grad
 
 
 _LOSS_FNS = {"dappr": dappr_loss, "cross_entropy": cross_entropy_loss}
@@ -214,12 +256,13 @@ def train(train_x, train_y, val_x, val_y, cfg: TrainConfig):
     if train_x.shape[0] == 0:
         raise ValueError("training set is empty")
 
-    params = init_network(cfg.layer_sizes, cfg.seed, cfg.loss_kind)
+    flat, params = pack_network(init_network(cfg.layer_sizes, cfg.seed, cfg.loss_kind))
+    grad = np.empty_like(flat)
+    n_weights = sum(w.size for w in params.weights)
     history = TrainHistory()
     loss_fn = _LOSS_FNS[cfg.loss_kind]
     loss_cfg = replace(cfg.loss, total_epochs=max(cfg.epochs, 1))
 
-    flat = params.weights + params.biases
     opt = _Adam(flat, cfg.learning_rate) if cfg.optimizer == "adam" else _Sgd(flat, cfg.learning_rate)
 
     n, d = train_x.shape
@@ -239,10 +282,10 @@ def train(train_x, train_y, val_x, val_y, cfg: TrainConfig):
             out, grads_w, grads_b = _step_gradients(
                 params, train_x[idx], train_y[idx], loss_fn, loss_cfg, epoch,
                 background[start:start + idx.size] if vacuous else None)
+            flat_gradient(grads_w, grads_b, grad)
             if cfg.weight_decay > 0.0:
-                for w, gw in zip(params.weights, grads_w):
-                    gw += cfg.weight_decay * w
-            opt.step(flat, grads_w + grads_b)
+                grad[:n_weights] += cfg.weight_decay * flat[:n_weights]
+            opt.step(flat, grad)
             epoch_loss += out.value * idx.size
         history.train_loss.append(epoch_loss / n)
 
@@ -252,10 +295,10 @@ def train(train_x, train_y, val_x, val_y, cfg: TrainConfig):
         history.val_mean_alpha0.append(float(np.mean(np.sum(softplus(logits) + 1.0, axis=1))) if val_y.size else 0.0)
         if cfg.early_stopping and acc > best_acc:
             best_acc = acc
-            best = copy.deepcopy(params)
+            best = flat.copy()
 
     if cfg.early_stopping and best is not None:
-        return best, history
+        flat[...] = best
     return params, history
 
 

@@ -1,11 +1,14 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately written from the definitions, in plain
-Python, without importing the package's own metric or grid code.  Slow is
-fine; these run on tiny inputs.
+Python (plain numpy for the network oracles), without importing the
+package's own code.  Slow is fine; these run on tiny inputs.
 """
 
+import copy
 import math
+
+import numpy as np
 
 
 def rank_walk_average_precision(labels, scores):
@@ -119,3 +122,78 @@ def blob_mixture_density(point, n_classes, spread, radius=4.0):
         sq = sum((p - c) ** 2 for p, c in zip(point, centre))
         total += norm * math.exp(-sq / (2.0 * spread * spread))
     return total / n_classes
+
+
+class TextbookAdam:
+    """Adam (Kingma & Ba, 2015) with bias correction, one array at a time."""
+
+    def __init__(self, arrays, lr, b1=0.9, b2=0.999, eps=1e-8):
+        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+        self.t = 0
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+
+    def step(self, arrays, grads):
+        """Update every array in place from its own gradient."""
+        self.t += 1
+        for i, (p, g) in enumerate(zip(arrays, grads)):
+            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
+            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
+            m_hat = self.m[i] / (1 - self.b1**self.t)
+            v_hat = self.v[i] / (1 - self.b2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _relu_forward(weights, biases, x):
+    """Pre-activations and activations of a relu MLP with an identity output."""
+    pre, acts = [], [x]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w + b
+        pre.append(z)
+        acts.append(z if i == len(weights) - 1 else np.maximum(z, 0.0))
+    return pre, acts
+
+
+def _row_softmax(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def soft_label_finetune(weights, biases, rest_x, rest_y, forced_x, forced_target,
+                        epochs, lr, seed, batch_size):
+    """One leave-one-out probe fine-tune, one network at a time.
+
+    Deep-copies the network and runs textbook per-array Adam (Kingma & Ba,
+    2015) on softmax cross-entropy.  Each batch is rest rows, shuffled per
+    epoch by ``default_rng([seed, 2, epoch])``, plus the forced sample with
+    its (possibly soft) target.  Returns the tuned (weights, biases).
+    """
+    weights, biases = copy.deepcopy(weights), copy.deepcopy(biases)
+    opt = TextbookAdam(weights + biases, lr)
+    k = weights[-1].shape[1]
+    rest_targets = np.zeros((rest_y.size, k))
+    rest_targets[np.arange(rest_y.size), rest_y] = 1.0
+    for epoch in range(epochs):
+        perm = np.random.default_rng([seed, 2, epoch]).permutation(rest_x.shape[0])
+        for start in range(0, rest_x.shape[0], batch_size):
+            idx = perm[start:start + batch_size]
+            xb = np.vstack([rest_x[idx], forced_x[None, :]])
+            targets = np.vstack([rest_targets[idx], forced_target[None, :]])
+            pre, acts = _relu_forward(weights, biases, xb)
+            delta = (_row_softmax(pre[-1]) - targets) / xb.shape[0]
+            grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+            for i in range(len(weights) - 1, -1, -1):
+                grads_w[i] = acts[i].T @ delta
+                grads_b[i] = delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ weights[i].T) * (pre[i - 1] > 0.0)
+            opt.step(weights + biases, grads_w + grads_b)
+    return weights, biases
+
+
+def total_cross_entropy(weights, biases, x, y):
+    """Sum over rows of -log softmax(logits)[y]."""
+    logits = _relu_forward(weights, biases, x)[0][-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    return float(-np.sum(log_probs[np.arange(x.shape[0]), y]))

@@ -1,12 +1,14 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dappr import harness
 from dappr.cli import main
+from dappr.datasets import gaussian_blobs
 from dappr.errors import VerificationFailure
 from dappr.harness import (
     HISTOGRAM_BINS,
@@ -26,8 +28,11 @@ from dappr.harness import (
     run_standard,
     run_train,
     run_verify,
+    train_config,
     verify_or_raise,
 )
+from dappr.nn import train
+from oracles import soft_label_finetune, total_cross_entropy
 
 
 def tiny_config(tmp_path, **overrides):
@@ -240,6 +245,43 @@ def test_run_probe_rows_and_determinism(tmp_path):
     again = run_probe(tiny_config(tmp_path, dataset={"n_per_class": 10, "seed": 7},
                                   probe=probe, out=str(tmp_path / "again")))
     assert again["per_sample"] == report["per_sample"]
+
+
+def test_run_probe_equals_one_network_at_a_time_oracle(tmp_path):
+    # The probe fine-tunes each sample's copies as one stack; every value must
+    # equal fine-tuning deep copies one by one with per-array Adam, bit for bit.
+    probe = {"n_probed": 3, "n_perturbations": 3, "finetune_epochs": 2,
+             "finetune_lr": 1e-2}
+    cfg = tiny_config(tmp_path, dataset={"n_per_class": 12, "seed": 7},
+                      model={"hidden": [8, 8], "epochs": 3, "batch_size": 8},
+                      probe=probe)
+    report = run_probe(cfg)
+
+    spec = cfg.dataset
+    ds = gaussian_blobs(spec.n_classes, spec.n_per_class, spec.n_features,
+                        spec.spread, spec.seed)
+    tc = train_config(cfg, cfg.seeds[0], ds.dim, ds.n_classes)
+    base, _ = train(ds.features, ds.labels, ds.features, ds.labels,
+                    replace(tc, loss_kind="cross_entropy"))
+    rng = np.random.default_rng(cfg.probe.seed)
+    rows = []
+    for x_idx in np.sort(rng.choice(ds.n, size=cfg.probe.n_probed, replace=False)):
+        rest_x, rest_y = np.delete(ds.features, x_idx, axis=0), np.delete(ds.labels, x_idx)
+
+        def loo_loss(target):
+            tuned = soft_label_finetune(base.weights, base.biases, rest_x, rest_y,
+                                        ds.features[x_idx], target,
+                                        cfg.probe.finetune_epochs, cfg.probe.finetune_lr,
+                                        cfg.probe.seed, cfg.model.batch_size)
+            return total_cross_entropy(*tuned, rest_x, rest_y)
+
+        l_true = loo_loss(np.eye(ds.n_classes)[ds.labels[x_idx]])
+        s_x = max([0.0] + [abs(loo_loss(rng.dirichlet(np.ones(ds.n_classes))) - l_true)
+                           for _ in range(cfg.probe.n_perturbations)])
+        rows.append({"sample": int(x_idx), "loo_loss_true": l_true, "s_x": s_x,
+                     "ratio": s_x / l_true})
+    assert report["per_sample"] == rows
+    assert all(r["s_x"] > 0.0 for r in rows)
 
 
 def test_run_probe_rejects_oversized_probe(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,24 @@ from dappr.nn import (
     BACKGROUND_SCALE,
     NetworkParams,
     TrainConfig,
+    _Adam,
+    _forward_cached,
+    _Sgd,
     _step_gradients,
+    backward,
     background_law,
+    flat_gradient,
     forward,
     init_network,
     load_checkpoint,
+    network_slice,
+    pack_network,
     predict_alpha,
     predict_labels,
     save_checkpoint,
     train,
 )
+from oracles import TextbookAdam
 
 
 def _blob_split(n_per_class=40, seed=5, spread=1.0):
@@ -161,6 +171,119 @@ def test_relu_blocks_gradient_through_dead_units():
 
 
 # ---------------------------------------------------------------------------
+# flat parameter buffer and the network axis
+
+
+def _stack(nets):
+    """The networks as one stack from pack_network(copies=len(nets))."""
+    flat, stack = pack_network(nets[0], copies=len(nets))
+    for s, net in enumerate(nets):
+        for dst, src in zip(stack.weights, net.weights):
+            dst[s] = src
+        for dst, src in zip(stack.biases, net.biases):
+            dst[s, 0] = src
+    return flat, stack
+
+
+def _offset(view, flat):
+    return (view.__array_interface__["data"][0]
+            - flat.__array_interface__["data"][0]) // flat.itemsize
+
+
+@pytest.mark.parametrize("copies", [None, 3])
+def test_pack_network_views_one_buffer(copies):
+    net = init_network((4, 16, 3), seed=0)
+    flat, packed = pack_network(net, copies=copies)
+    lead = () if copies is None else (copies,)
+    assert [w.shape for w in packed.weights] == [lead + (4, 16), lead + (16, 3)]
+    assert [b.shape for b in packed.biases] == ([(16,), (3,)] if copies is None
+                                                else [(3, 1, 16), (3, 1, 3)])
+    assert flat.dtype == np.float64 and flat.flags.c_contiguous
+    assert flat.size == (1 if copies is None else copies) * (4 * 16 + 16 * 3 + 16 + 3)
+    for s in range(copies or 1):
+        one = packed if copies is None else network_slice(packed, s)
+        assert all(np.array_equal(a, b) for a, b in zip(one.weights, net.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(one.biases, net.biases))
+    flat += 1.0
+    assert (packed.weights[0] == net.weights[0] + 1.0).all()
+    assert not np.shares_memory(flat, net.weights[0])
+
+
+@pytest.mark.parametrize("copies", [None, 3])
+def test_flat_gradient_order_matches_parameter_views(copies):
+    rng = np.random.default_rng(4)
+    flat, net = pack_network(init_network((2, 8, 8, 3), seed=1), copies=copies)
+    x = rng.normal(size=(7, 2))
+    pre, acts = _forward_cached(net, x)
+    grads_w, grads_b = backward(net, pre, acts, rng.normal(size=pre[-1].shape))
+    grad = flat_gradient(grads_w, grads_b, np.empty_like(flat))
+    covered = 0
+    for view, g in zip(net.weights + net.biases, grads_w + grads_b):
+        at = _offset(view, flat)
+        assert np.array_equal(grad[at:at + view.size], g.reshape(-1))
+        covered += view.size
+    assert covered == flat.size
+
+
+@pytest.mark.parametrize("copies", [None, 2])
+def test_adam_on_packed_buffer_equals_per_array_adam(copies):
+    rng = np.random.default_rng(11)
+    net = init_network((3, 16, 8, 4), seed=2)
+    net.biases = [rng.normal(size=b.shape) for b in net.biases]
+    flat, packed = pack_network(net, copies=copies)
+    _, ref = pack_network(net, copies=copies)
+    ref_arrays = [a.copy() for a in ref.weights + ref.biases]
+    grad = np.empty_like(flat)
+    opt = _Adam(flat, 1e-2)
+    textbook = TextbookAdam(ref_arrays, 1e-2)
+    for step in range(50):
+        grads = [rng.normal(0.0, 10.0 ** rng.integers(-3, 2), size=a.shape)
+                 for a in ref_arrays]
+        grads_b = [g.reshape(g.shape[0], -1) if copies else g for g in grads[3:]]
+        opt.step(flat, flat_gradient(grads[:3], grads_b, grad))
+        textbook.step(ref_arrays, grads)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(packed.weights + packed.biases, ref_arrays)), step
+
+
+def test_sgd_on_packed_buffer_equals_per_array_sgd():
+    rng = np.random.default_rng(12)
+    flat, packed = pack_network(init_network((3, 16, 8, 4), seed=2))
+    ref_arrays = [a.copy() for a in packed.weights + packed.biases]
+    grad = np.empty_like(flat)
+    opt = _Sgd(flat, 1e-2)
+    for _ in range(50):
+        grads = [rng.normal(size=a.shape) for a in ref_arrays]
+        opt.step(flat, flat_gradient(grads[:3], grads[3:], grad))
+        for a, g in zip(ref_arrays, grads):
+            a -= 1e-2 * g
+    assert all(np.array_equal(a, b) for a, b in zip(packed.weights + packed.biases, ref_arrays))
+
+
+@pytest.mark.parametrize("batch", [1, 7, 33])
+def test_stacked_network_equals_each_network_alone(batch):
+    rng = np.random.default_rng(batch)
+    nets = [init_network((2, 32, 32, 3), seed=s, loss_kind="cross_entropy") for s in range(3)]
+    for net in nets:
+        net.biases = [rng.normal(size=b.shape) for b in net.biases]
+    _, stack = _stack(nets)
+    x = rng.normal(size=(batch, 2))
+    grad_logits = rng.normal(size=(3, batch, 3))
+    pre, acts = _forward_cached(stack, x)
+    grads_w, grads_b = backward(stack, pre, acts, grad_logits)
+    assert [g.shape for g in grads_w] == [(3, 2, 32), (3, 32, 32), (3, 32, 3)]
+    assert [g.shape for g in grads_b] == [(3, 32), (3, 32), (3, 3)]
+    for s, net in enumerate(nets):
+        pre_s, acts_s = _forward_cached(net, x)
+        gw_s, gb_s = backward(net, pre_s, acts_s, grad_logits[s])
+        assert all(np.array_equal(a[s], b) for a, b in zip(pre, pre_s))
+        assert all(np.array_equal(a[s], b) for a, b in zip(acts[1:], acts_s[1:]))
+        assert all(np.array_equal(a[s], b) for a, b in zip(grads_w, gw_s))
+        assert all(np.array_equal(a[s], b) for a, b in zip(grads_b, gb_s))
+        assert np.array_equal(forward(network_slice(stack, s), x), pre_s[-1])
+
+
+# ---------------------------------------------------------------------------
 # training behavior
 
 
@@ -242,26 +365,43 @@ def test_vacuous_term_lowers_evidence_off_the_data(monkeypatch):
     assert with_term < 0.5 * without_term
 
 
+def _plain_cross_entropy_training(tx, ty, cfg):
+    """train() for the cross-entropy head as a bare loop, without background."""
+    flat, ref = pack_network(init_network(cfg.layer_sizes, cfg.seed, "cross_entropy"))
+    grad = np.empty_like(flat)
+    opt = _Adam(flat, cfg.learning_rate)
+    for epoch in range(cfg.epochs):
+        perm = np.random.default_rng([cfg.seed, 1, epoch]).permutation(tx.shape[0])
+        for start in range(0, tx.shape[0], cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            pre, acts = _forward_cached(ref, tx[idx])
+            out = cross_entropy_loss(pre[-1], ty[idx], LossConfig(total_epochs=cfg.epochs),
+                                     epoch)
+            grads_w, grads_b = backward(ref, pre, acts, out.grad_logits)
+            for w, gw in zip(ref.weights, grads_w):
+                gw += cfg.weight_decay * w
+            opt.step(flat, flat_gradient(grads_w, grads_b, grad))
+    return ref
+
+
 def test_cross_entropy_training_ignores_the_background():
     tx, ty, vx, vy = _blob_split()
     cfg = TrainConfig(layer_sizes=(2, 8, 3), epochs=2, batch_size=16, seed=1,
                       loss_kind="cross_entropy")
     p, _ = train(tx, ty, vx, vy, cfg)
-    ref = init_network((2, 8, 3), seed=1, loss_kind="cross_entropy")
-    from dappr.nn import _Adam, _forward_cached, backward
-
-    flat = ref.weights + ref.biases
-    opt = _Adam(flat, cfg.learning_rate)
-    for epoch in range(2):
-        perm = np.random.default_rng([1, 1, epoch]).permutation(tx.shape[0])
-        for start in range(0, tx.shape[0], 16):
-            idx = perm[start:start + 16]
-            pre, acts = _forward_cached(ref, tx[idx])
-            out = cross_entropy_loss(pre[-1], ty[idx], LossConfig(total_epochs=2), epoch)
-            grads_w, grads_b = backward(ref, pre, acts, out.grad_logits)
-            opt.step(flat, grads_w + grads_b)
+    ref = _plain_cross_entropy_training(tx, ty, cfg)
     assert all(np.array_equal(a, b) for a, b in zip(p.weights, ref.weights))
     assert all(np.array_equal(a, b) for a, b in zip(p.biases, ref.biases))
+
+
+def test_weight_decay_applies_to_weights_only():
+    tx, ty, vx, vy = _blob_split()
+    cfg = TrainConfig(layer_sizes=(2, 8, 3), epochs=2, batch_size=16, seed=1,
+                      loss_kind="cross_entropy", weight_decay=0.1)
+    p, _ = train(tx, ty, vx, vy, cfg)
+    ref = _plain_cross_entropy_training(tx, ty, cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(p.weights + p.biases,
+                                                    ref.weights + ref.biases))
 
 
 def test_history_lengths_match_epochs():
@@ -282,6 +422,21 @@ def test_early_stopping_returns_best_validation_snapshot():
     p, h = train(ds.features[tr], ds.labels[tr], ds.features[va], ds.labels[va], cfg)
     got = float(np.mean(predict_labels(p, ds.features[va]) == ds.labels[va]))
     assert got == pytest.approx(max(h.val_accuracy), abs=1e-12)
+
+
+def test_early_stopping_restores_the_best_epoch_weights():
+    ds = two_moons(240, 0.25, seed=3)
+    perm = np.random.default_rng(0).permutation(ds.n)
+    tr, va = perm[:180], perm[180:]
+    data = (ds.features[tr], ds.labels[tr], ds.features[va], ds.labels[va])
+    cfg = TrainConfig(layer_sizes=(2, 16, 2), epochs=12, batch_size=16, seed=2,
+                      learning_rate=1e-2, early_stopping=True)
+    p, h = train(*data, cfg)
+    best = int(np.argmax(h.val_accuracy))
+    assert best < cfg.epochs - 1  # the snapshot must differ from the final weights
+    ref, _ = train(*data, replace(cfg, epochs=best + 1, early_stopping=False))
+    assert all(np.array_equal(a, b) for a, b in zip(p.weights + p.biases,
+                                                    ref.weights + ref.biases))
 
 
 def test_sgd_optimizer_descends():
