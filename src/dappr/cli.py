@@ -17,8 +17,15 @@ from .harness import (ExperimentConfig, apply_overrides, load_config,
                       run_eval, run_lambda_sweep, run_longtail, run_probe,
                       run_scaling, run_standard, run_train, verify_or_raise)
 
-_COMMANDS = ("train", "eval", "ood", "scaling", "longtail", "sweep", "probe",
-             "verify")
+_RUNNERS = {
+    "train": run_train,
+    "eval": run_eval,
+    "ood": run_standard,
+    "scaling": run_scaling,
+    "longtail": run_longtail,
+    "sweep": run_lambda_sweep,
+    "probe": run_probe,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dappr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in (*_RUNNERS, "verify"):
         p = sub.add_parser(name, help=f"run the {name} workflow")
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="replace the config's seed list")
@@ -48,14 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUNNERS = {
-    "train": run_train,
-    "ood": run_standard,
-    "scaling": run_scaling,
-    "longtail": run_longtail,
-    "sweep": run_lambda_sweep,
-    "probe": run_probe,
-}
+def _check_line(name: str, ok: bool, detail: str) -> str:
+    return f"[{'PASS' if ok else 'FAIL'}] {name}" + (f"  ({detail})" if detail else "")
 
 
 def main(argv=None) -> int:
@@ -63,24 +64,21 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command == "verify":
             report = verify_or_raise()
-            for name, ok, detail in report.checks:
-                line = f"[PASS] {name}" if ok else f"[FAIL] {name}"
-                print(line + (f"  ({detail})" if detail else ""))
+            for check in report.checks:
+                print(_check_line(*check))
             print(f"{len(report.checks)} checks passed")
             return 0
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         cfg = apply_overrides(cfg, seed=args.seed, out=args.out, lam=args.lam,
                               schedule=args.schedule, eps=args.eps)
-        if args.command == "eval":
-            report = run_eval(cfg, args.checkpoint)
-        else:
-            report = _RUNNERS[args.command](cfg)
+        extra = (args.checkpoint,) if args.command == "eval" else ()
+        report = _RUNNERS[args.command](cfg, *extra)
         summary = {k: report[k] for k in ("experiment",) if k in report}
         print(json.dumps({**summary, "out": cfg.out}))
         return 0
     except VerificationFailure as exc:
-        for name, ok, detail in getattr(exc, "checks", []):
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}  {detail}", file=sys.stderr)
+        for check in getattr(exc, "checks", []):
+            print(_check_line(*check), file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

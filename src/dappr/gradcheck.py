@@ -13,7 +13,7 @@ import numpy as np
 
 from .loss import (VACUOUS_WEIGHT, LossConfig, lambda_schedule, one_hot,
                    softplus)
-from .nn import NetworkParams, flat_gradient, forward
+from .nn import NetworkParams, forward, pack_network
 
 FD_STEP = 1e-5
 
@@ -77,38 +77,22 @@ def vacuous_penalty_fd_gradient(logits, h: float = FD_STEP) -> np.ndarray:
     return fd_gradient(vacuous_penalty_value, np.asarray(logits, dtype=np.float64), h)
 
 
-def _flatten(params: NetworkParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in params.weights + params.biases])
-
-
-def _unflatten_into(params: NetworkParams, theta: np.ndarray) -> None:
-    pos = 0
-    for arr in params.weights + params.biases:
-        arr[...] = theta[pos:pos + arr.size].reshape(arr.shape)
-        pos += arr.size
-
-
 def network_fd_gradient(params: NetworkParams, x, labels, value_fn,
                         h: float = FD_STEP) -> np.ndarray:
     """FD gradient of value_fn(logits) wrt all weights and biases.
 
     value_fn maps a logits batch to a scalar; for the surrogate loss pass a
-    closure with p* already frozen.
+    closure with p* already frozen.  The perturbations go to a packed copy
+    of params (pack_network's buffer order, as flat_gradient's), so params
+    itself is never written.
     """
-    theta0 = _flatten(params)
+    flat, packed = pack_network(params)
 
     def f(theta):
-        _unflatten_into(params, theta)
-        return value_fn(forward(params, x))
+        flat[...] = theta
+        return value_fn(forward(packed, x))
 
-    try:
-        return fd_gradient(f, theta0, h)
-    finally:
-        _unflatten_into(params, theta0)
-
-
-def flatten_network_grads(grads_w, grads_b) -> np.ndarray:
-    return flat_gradient(grads_w, grads_b)
+    return fd_gradient(f, flat, h)
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -34,8 +34,8 @@ from .metrics import (aleatoric_uncertainty, aupr, auroc, ece,
                       epistemic_uncertainty, reliability_bins,
                       softmax_entropy)
 from .nn import (NetworkParams, TrainConfig, _Adam, _forward_cached, backward,
-                 flat_gradient, forward, init_network, network_slice, pack_network,
-                 save_checkpoint, train)
+                 flat_gradient, forward, init_network, load_checkpoint,
+                 network_slice, pack_network, save_checkpoint, train)
 from .possibility import (DirichletParams, PossibilityTable, SimplexPoint,
                           default_grid_resolution, dirichlet_mode,
                           dirichlet_possibility, grid_argmax_surrogate,
@@ -276,6 +276,19 @@ def ood_names(cfg: ExperimentConfig) -> list[str]:
     return names
 
 
+def _fit(cfg: ExperimentConfig, seed: int, train_ds: LabeledDataset,
+         val_ds: LabeledDataset):
+    """Train one model of cfg's spec on train_ds; (params, history)."""
+    tc = train_config(cfg, seed, train_ds.dim, train_ds.n_classes)
+    return train(train_ds.features, train_ds.labels, val_ds.features, val_ds.labels, tc)
+
+
+def _ood_sets(cfg: ExperimentConfig, n_default: int) -> dict[str, np.ndarray]:
+    """Every configured OOD set by its report name, in config order."""
+    return {name: generate_ood(cfg, spec, n_default)
+            for name, spec in zip(ood_names(cfg), cfg.ood)}
+
+
 def model_uncertainties(params: NetworkParams, x: np.ndarray):
     """Per-row (aleatoric, epistemic, confidence, alpha0) under the model's head.
 
@@ -313,8 +326,8 @@ def evaluate_seed(params: NetworkParams, test: LabeledDataset,
         result["confidence_aupr"] = 100.0 * aupr(correct, -alea)
     else:
         result["confidence_aupr"] = None  # all right or all wrong: undefined
-    raw = {"confidences": conf, "correct": correct, "alpha0_id": alpha0,
-           "alpha0_ood": {}}
+    raw = {"confidences": conf, "correct": correct, "epistemic": epi,
+           "alpha0_id": alpha0, "alpha0_ood": {}}
 
     for name, features in ood_sets.items():
         _, epi_ood, _, alpha0_ood = model_uncertainties(params, features)
@@ -334,45 +347,35 @@ def evaluate_seed(params: NetworkParams, test: LabeledDataset,
 # Report helpers
 
 
-def _aggregate(per_seed: list[dict], keys: list[str]) -> tuple[dict, dict]:
+def _aggregate(rows: list[dict], keys) -> tuple[dict, dict]:
+    """Mean and sample std of each key over rows; dict values recurse.
+
+    A key whose value is None in some rows (confidence_aupr when a seed got
+    everything right) aggregates the defined values only, and std needs two
+    of them.  A dict value, such as the per-set ``ood`` numbers, aggregates
+    key by key into a dict of the same shape.
+    """
     mean: dict = {}
     std: dict = {}
     for key in keys:
-        values = [s[key] for s in per_seed if s.get(key) is not None]
-        if not values:
-            continue
-        mean[key] = float(np.mean(values))
-        # std needs two defined values; confidence_aupr can be None per seed
-        if len(per_seed) > 1 and len(values) > 1:
-            std[key] = float(np.std(values, ddof=1))
+        values = [r[key] for r in rows if r.get(key) is not None]
+        if values and isinstance(values[0], dict):
+            mean[key], std[key] = _aggregate(values, values[0])
+        elif values:
+            mean[key] = float(np.mean(values))
+            if len(values) > 1:
+                std[key] = float(np.std(values, ddof=1))
     return mean, std
 
 
-def _aggregate_ood(per_seed: list[dict]) -> tuple[dict, dict]:
-    mean: dict = {}
-    std: dict = {}
-    if not per_seed or not per_seed[0]["ood"]:
-        return mean, std
-    for name in per_seed[0]["ood"]:
-        mean[name] = {}
-        std[name] = {}
-        for key in ("aupr", "auroc", "mean_alpha0"):
-            values = [s["ood"][name][key] for s in per_seed]
-            mean[name][key] = float(np.mean(values))
-            if len(per_seed) > 1:
-                std[name][key] = float(np.std(values, ddof=1))
-    return mean, std
-
-
-def write_report(report: dict, outdir: Path, runtime: float,
-                 name: str = "report.json") -> Path:
-    outdir.mkdir(parents=True, exist_ok=True)
+def write_report(report: dict, outdir: Path, runtime: float) -> Path:
+    """Write report.json into outdir with run_info added; return its path."""
     report = dict(report)
     report["run_info"] = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "runtime_seconds": runtime,
     }
-    path = outdir / name
+    path = outdir / "report.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -421,23 +424,41 @@ def _write_csv(path: Path, header: str, rows) -> None:
 # Experiment runners
 
 
-def run_train(cfg: ExperimentConfig) -> dict:
+def _runner(experiment: str):
+    """Make a runner from a body ``body(cfg, outdir, *args) -> dict``.
+
+    The runner, called as ``run(cfg, *args)``, does what every experiment
+    shares: it times the run, creates ``cfg.out``, puts the experiment name
+    and the config in front of the body's report entries, and writes
+    report.json.  It returns the report without ``run_info``.
+    """
+    def decorate(body):
+        def run(cfg: ExperimentConfig, *args) -> dict:
+            started = time.perf_counter()
+            outdir = Path(cfg.out)
+            outdir.mkdir(parents=True, exist_ok=True)
+            report = {"experiment": experiment, "config": config_to_dict(cfg),
+                      **body(cfg, outdir, *args)}
+            write_report(report, outdir, time.perf_counter() - started)
+            return report
+
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        return run
+    return decorate
+
+
+@_runner("train")
+def run_train(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Train one model (first configured seed); write checkpoint and history."""
-    started = time.perf_counter()
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     train_ds, val_ds, _ = make_splits(cfg)
     seed = cfg.seeds[0]
-    tc = train_config(cfg, seed, train_ds.dim, train_ds.n_classes)
-    params, history = train(train_ds.features, train_ds.labels,
-                            val_ds.features, val_ds.labels, tc)
+    params, history = _fit(cfg, seed, train_ds, val_ds)
     save_checkpoint(params, outdir / "checkpoint.json")
     _write_csv(outdir / "history.csv", "epoch,train_loss,val_accuracy,val_mean_alpha0",
                [(e, history.train_loss[e], history.val_accuracy[e],
                  history.val_mean_alpha0[e]) for e in range(len(history.train_loss))])
-    report = {
-        "experiment": "train",
-        "config": config_to_dict(cfg),
+    return {
         "seed": seed,
         "epochs_run": len(history.train_loss),
         "final_train_loss": history.train_loss[-1] if history.train_loss else None,
@@ -445,17 +466,11 @@ def run_train(cfg: ExperimentConfig) -> dict:
                                if history.val_accuracy else None),
         "checkpoint": "checkpoint.json",
     }
-    write_report(report, outdir, time.perf_counter() - started)
-    return report
 
 
-def run_eval(cfg: ExperimentConfig, checkpoint_path) -> dict:
+@_runner("eval")
+def run_eval(cfg: ExperimentConfig, outdir: Path, checkpoint_path) -> dict:
     """Evaluate a saved checkpoint on the config's test split (ID only)."""
-    from .nn import load_checkpoint
-
-    started = time.perf_counter()
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     params = load_checkpoint(checkpoint_path)
     _, _, test_ds = make_splits(cfg)
     if params.layer_sizes[0] != test_ds.dim or params.layer_sizes[-1] < test_ds.n_classes:
@@ -463,78 +478,51 @@ def run_eval(cfg: ExperimentConfig, checkpoint_path) -> dict:
     result, raw = evaluate_seed(params, test_ds, {})
     bins = reliability_bins(raw["confidences"], raw["correct"])
     bins.save_csv(outdir / "reliability.csv")
-    report = {
-        "experiment": "eval",
-        "config": config_to_dict(cfg),
+    return {
         "checkpoint": str(checkpoint_path),
         "metrics": {k: result[k] for k in
                     ("accuracy", "confidence_aupr", "ece", "mean_alpha0_id")},
     }
-    write_report(report, outdir, time.perf_counter() - started)
-    return report
 
 
-def run_standard(cfg: ExperimentConfig) -> dict:
+@_runner("standard")
+def run_standard(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Train per seed, evaluate ID metrics and OOD detection, write report."""
-    started = time.perf_counter()
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     train_ds, val_ds, test_ds = make_splits(cfg)
+    ood_sets = _ood_sets(cfg, test_ds.n)
 
-    names = ood_names(cfg)
-    ood_sets = {name: generate_ood(cfg, spec, test_ds.n)
-                for name, spec in zip(names, cfg.ood)}
-
-    per_seed = []
-    pooled_conf, pooled_correct = [], []
-    pooled_alpha0_id, pooled_alpha0_ood = [], []
+    per_seed, raws = [], []
     for seed in cfg.seeds:
-        tc = train_config(cfg, seed, train_ds.dim, train_ds.n_classes)
-        params, _ = train(train_ds.features, train_ds.labels,
-                          val_ds.features, val_ds.labels, tc)
+        params, _ = _fit(cfg, seed, train_ds, val_ds)
         save_checkpoint(params, outdir / f"checkpoint_seed{seed}.json")
         result, raw = evaluate_seed(params, test_ds, ood_sets)
-        result["seed"] = seed
-        per_seed.append(result)
-        pooled_conf.append(raw["confidences"])
-        pooled_correct.append(raw["correct"])
-        pooled_alpha0_id.append(raw["alpha0_id"])
-        if names:
-            pooled_alpha0_ood.append(raw["alpha0_ood"][names[0]])
+        per_seed.append({**result, "seed": seed})
+        raws.append(raw)
 
-    bins = reliability_bins(np.concatenate(pooled_conf),
-                            np.concatenate(pooled_correct))
+    def pooled(key):
+        return np.concatenate([raw[key] for raw in raws])
+
+    bins = reliability_bins(pooled("confidences"), pooled("correct"))
     bins.save_csv(outdir / "reliability.csv")
 
     histogram = None
-    if pooled_alpha0_ood:
-        histogram = emit_alpha0_histogram(np.concatenate(pooled_alpha0_id),
-                                          np.concatenate(pooled_alpha0_ood),
-                                          outdir / "alpha0_histogram.csv")
+    if ood_sets:
+        first = next(iter(ood_sets))
+        histogram = emit_alpha0_histogram(
+            pooled("alpha0_id"), np.concatenate([raw["alpha0_ood"][first] for raw in raws]),
+            outdir / "alpha0_histogram.csv")
 
     mean, std = _aggregate(per_seed, ["accuracy", "confidence_aupr", "ece",
-                                      "mean_alpha0_id"])
-    ood_mean, ood_std = _aggregate_ood(per_seed)
-    mean["ood"] = ood_mean
-    report = {
-        "experiment": "standard",
-        "config": config_to_dict(cfg),
-        "per_seed": per_seed,
-        "mean": mean,
-        "alpha0_histogram": histogram,
-    }
+                                      "mean_alpha0_id", "ood"])
+    report = {"per_seed": per_seed, "mean": mean, "alpha0_histogram": histogram}
     if len(cfg.seeds) > 1:
-        std["ood"] = ood_std
         report["std"] = std
-    write_report(report, outdir, time.perf_counter() - started)
     return report
 
 
-def run_scaling(cfg: ExperimentConfig) -> dict:
+@_runner("scaling")
+def run_scaling(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Training-set size sweep; epistemic uncertainty on a fixed test split."""
-    started = time.perf_counter()
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     train_ds, val_ds, test_ds = make_splits(cfg)
 
     rows = []
@@ -544,13 +532,9 @@ def run_scaling(cfg: ExperimentConfig) -> dict:
             raise ValueError(f"scaling size {size} exceeds train split ({train_ds.n})")
         subset = stratified_subsample(train_ds, size, cfg.split_seed)
         for seed in cfg.seeds:
-            tc = train_config(cfg, seed, train_ds.dim, train_ds.n_classes)
-            params, _ = train(subset.features, subset.labels,
-                              val_ds.features, val_ds.labels, tc)
-            _, epi, _, _ = model_uncertainties(params, test_ds.features)
-            acc = 100.0 * float(np.mean(np.argmax(forward(params, test_ds.features), axis=1)
-                                        == test_ds.labels))
-            rows.append((size, seed, float(np.mean(epi)), acc))
+            params, _ = _fit(cfg, seed, subset, val_ds)
+            result, raw = evaluate_seed(params, test_ds, {})
+            rows.append((size, seed, float(np.mean(raw["epistemic"])), result["accuracy"]))
         values = [r[2] for r in rows if r[0] == size]
         accs = [r[3] for r in rows if r[0] == size]
         curve.append({"size": size,
@@ -558,22 +542,16 @@ def run_scaling(cfg: ExperimentConfig) -> dict:
                       "mean_accuracy": float(np.mean(accs))})
 
     _write_csv(outdir / "scaling.csv", "size,seed,mean_epistemic,accuracy", rows)
-    report = {
-        "experiment": "scaling",
-        "config": config_to_dict(cfg),
+    return {
         "per_run": [{"size": s, "seed": seed, "mean_epistemic": e, "accuracy": a}
                     for s, seed, e, a in rows],
         "curve": curve,
     }
-    write_report(report, outdir, time.perf_counter() - started)
-    return report
 
 
-def run_longtail(cfg: ExperimentConfig) -> dict:
+@_runner("longtail")
+def run_longtail(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Long-tail resampled training, balanced-test evaluation."""
-    started = time.perf_counter()
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     train_ds, val_ds, test_ds = make_splits(cfg)
     tail_train = long_tail_resample(train_ds, cfg.longtail_rho, cfg.split_seed)
     counts = tail_train.class_counts()
@@ -582,20 +560,13 @@ def run_longtail(cfg: ExperimentConfig) -> dict:
     per_class_alpha0 = np.zeros(test_ds.n_classes)
     per_class_acc = np.zeros(test_ds.n_classes)
     for seed in cfg.seeds:
-        tc = train_config(cfg, seed, train_ds.dim, train_ds.n_classes)
-        params, _ = train(tail_train.features, tail_train.labels,
-                          val_ds.features, val_ds.labels, tc)
-        logits = forward(params, test_ds.features)
-        predictions = np.argmax(logits, axis=1)
-        _, _, _, alpha0 = model_uncertainties(params, test_ds.features)
-        per_seed.append({
-            "seed": seed,
-            "accuracy": 100.0 * float(np.mean(predictions == test_ds.labels)),
-        })
+        params, _ = _fit(cfg, seed, tail_train, val_ds)
+        result, raw = evaluate_seed(params, test_ds, {})
+        per_seed.append({"seed": seed, "accuracy": result["accuracy"]})
         for k in range(test_ds.n_classes):
             members = test_ds.labels == k
-            per_class_alpha0[k] += float(np.mean(alpha0[members]))
-            per_class_acc[k] += 100.0 * float(np.mean(predictions[members] == k))
+            per_class_alpha0[k] += float(np.mean(raw["alpha0_id"][members]))
+            per_class_acc[k] += 100.0 * float(np.mean(raw["correct"][members]))
     per_class_alpha0 /= len(cfg.seeds)
     per_class_acc /= len(cfg.seeds)
 
@@ -605,8 +576,6 @@ def run_longtail(cfg: ExperimentConfig) -> dict:
                 for k in range(test_ds.n_classes)])
     mean, std = _aggregate(per_seed, ["accuracy"])
     report = {
-        "experiment": "longtail",
-        "config": config_to_dict(cfg),
         "train_counts": counts.tolist(),
         "per_seed": per_seed,
         "mean": mean,
@@ -617,22 +586,17 @@ def run_longtail(cfg: ExperimentConfig) -> dict:
     }
     if len(cfg.seeds) > 1:
         report["std"] = std
-    write_report(report, outdir, time.perf_counter() - started)
     return report
 
 
-def run_lambda_sweep(cfg: ExperimentConfig) -> dict:
+@_runner("sweep")
+def run_lambda_sweep(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Regulariser-weight sweep: accuracy and OOD detection per lambda."""
-    started = time.perf_counter()
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     train_ds, val_ds, test_ds = make_splits(cfg)
-    names = ood_names(cfg)
-    if not names:
+    ood_sets = _ood_sets(cfg, test_ds.n)
+    if not ood_sets:
         raise ValueError("lambda sweep needs at least one ood entry")
-    ood_sets = {name: generate_ood(cfg, spec, test_ds.n)
-                for name, spec in zip(names, cfg.ood)}
-    first = names[0]
+    first = next(iter(ood_sets))
 
     rows = []
     curve = []
@@ -640,9 +604,7 @@ def run_lambda_sweep(cfg: ExperimentConfig) -> dict:
         sweep_cfg = replace(cfg, loss=replace(cfg.loss, lam=lam))
         accs, auprs = [], []
         for seed in cfg.seeds:
-            tc = train_config(sweep_cfg, seed, train_ds.dim, train_ds.n_classes)
-            params, _ = train(train_ds.features, train_ds.labels,
-                              val_ds.features, val_ds.labels, tc)
+            params, _ = _fit(sweep_cfg, seed, train_ds, val_ds)
             result, _ = evaluate_seed(params, test_ds, ood_sets)
             rows.append((float(lam), seed, result["accuracy"],
                          result["ood"][first]["aupr"]))
@@ -653,16 +615,12 @@ def run_lambda_sweep(cfg: ExperimentConfig) -> dict:
                       "mean_ood_aupr": float(np.mean(auprs))})
 
     _write_csv(outdir / "sweep.csv", "lambda,seed,accuracy,ood_aupr", rows)
-    report = {
-        "experiment": "sweep",
-        "config": config_to_dict(cfg),
+    return {
         "ood_set": first,
         "per_run": [{"lambda": lam, "seed": seed, "accuracy": acc, "ood_aupr": ap}
                     for lam, seed, acc, ap in rows],
         "curve": curve,
     }
-    write_report(report, outdir, time.perf_counter() - started)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +664,8 @@ def _total_cross_entropy(params: NetworkParams, x, y) -> float:
     return float(-np.sum(log_probs[np.arange(x.shape[0]), y]))
 
 
-def run_probe(cfg: ExperimentConfig) -> dict:
+@_runner("probe")
+def run_probe(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Leave-one-out sensitivity probe.
 
     Trains a cross-entropy base model on the full dataset, then for each
@@ -717,16 +676,12 @@ def run_probe(cfg: ExperimentConfig) -> dict:
     other samples) caused by the label swap; small S_x / L_true justifies the
     one-term approximation of the posterior around the observed labels.
     """
-    started = time.perf_counter()
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     ds = build_dataset(cfg.dataset)
     if cfg.probe.n_probed > ds.n:
         raise ValueError("cannot probe more samples than the dataset has")
 
-    tc = replace(train_config(cfg, cfg.seeds[0], ds.dim, ds.n_classes),
-                 loss_kind="cross_entropy")
-    base, _ = train(ds.features, ds.labels, ds.features, ds.labels, tc)
+    base, _ = _fit(replace(cfg, model=replace(cfg.model, loss_kind="cross_entropy")),
+                   cfg.seeds[0], ds, ds)
 
     rng = np.random.default_rng(cfg.probe.seed)
     probed = np.sort(rng.choice(ds.n, size=cfg.probe.n_probed, replace=False))
@@ -750,15 +705,11 @@ def run_probe(cfg: ExperimentConfig) -> dict:
     ratios = sorted(r[3] for r in rows)
     median_ratio = float(np.median(ratios))
     _write_csv(outdir / "probe.csv", "sample,loo_loss_true,s_x,ratio", rows)
-    report = {
-        "experiment": "probe",
-        "config": config_to_dict(cfg),
+    return {
         "per_sample": [{"sample": i, "loo_loss_true": lt, "s_x": sx, "ratio": r}
                        for i, lt, sx, r in rows],
         "median_ratio": median_ratio,
     }
-    write_report(report, outdir, time.perf_counter() - started)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +828,7 @@ def run_verify() -> VerifyReport:
     pre, acts = _forward_cached(params, x)
     out = dappr_loss(pre[-1], labels, cfg, 0)
     grads_w, grads_b = backward(params, pre, acts, out.grad_logits)
-    analytic = gradcheck.flatten_network_grads(grads_w, grads_b)
+    analytic = flat_gradient(grads_w, grads_b)
     p0 = gradcheck.base_p_star(pre[-1], labels, cfg)
     fd = gradcheck.network_fd_gradient(
         params, x, labels,

@@ -29,7 +29,8 @@ from dappr.harness import (generate_ood, make_splits, ood_names,
 from dappr.loss import (LossConfig, closed_form_maximiser, dappr_loss,
                         vacuous_evidence_penalty)
 from dappr.metrics import aupr, auroc
-from dappr.nn import _forward_cached, _step_gradients, backward, init_network
+from dappr.nn import (_forward_cached, _step_gradients, backward, flat_gradient,
+                      init_network)
 from dappr.possibility import (DirichletParams, PossibilityTable, SimplexPoint,
                                dirichlet_mode, grid_argmax_surrogate,
                                log_dirichlet_possibility, maxitive_divergence,
@@ -52,6 +53,35 @@ def _criterion(n: int, ok: bool, detail: str) -> None:
 
 def _approx(value, frozen, rel=1e-6):
     return value == pytest.approx(frozen, rel=rel, abs=1e-9)
+
+
+def _frozen_drift(got, frozen, where: str) -> list[str]:
+    """Every number of a frozen section the run does not reproduce.
+
+    Walks the frozen dicts and lists (runtime_seconds is informational and
+    skipped) and compares each leaf with _approx; a list must keep its length.
+    """
+    if isinstance(frozen, dict):
+        drift = []
+        for key, want in frozen.items():
+            if key == "runtime_seconds":
+                continue
+            if key not in got:
+                drift.append(f"{where}.{key} missing")
+            else:
+                drift += _frozen_drift(got[key], want, f"{where}.{key}")
+        return drift
+    if isinstance(frozen, list):
+        if len(got) != len(frozen):
+            return [f"{where}: {len(got)} entries vs frozen {len(frozen)}"]
+        return [d for i, (g, w) in enumerate(zip(got, frozen))
+                for d in _frozen_drift(g, w, f"{where}[{i}]")]
+    return [] if _approx(got, frozen) else [f"{where}: {got!r} vs frozen {frozen!r}"]
+
+
+def _assert_frozen(got, frozen, where: str) -> None:
+    drift = _frozen_drift(got, frozen, where)
+    assert not drift, "expected-results drift: " + "; ".join(drift)
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +186,7 @@ def test_criterion_02_gradient_fidelity():
         counted += 1
         out = dappr_loss(pre[-1], labels, cfg, 0)
         grads_w, grads_b = backward(params, pre, acts, out.grad_logits)
-        analytic = gradcheck.flatten_network_grads(grads_w, grads_b)
+        analytic = flat_gradient(grads_w, grads_b)
         p0 = gradcheck.base_p_star(pre[-1], labels, cfg)
         fd = gradcheck.network_fd_gradient(
             params, x, labels,
@@ -185,7 +215,7 @@ def test_criterion_02_gradient_fidelity():
         counted += 1
         _, grads_w, grads_b = _step_gradients(params, x, labels, dappr_loss,
                                               cfg, 0, background)
-        analytic = gradcheck.flatten_network_grads(grads_w, grads_b)
+        analytic = flat_gradient(grads_w, grads_b)
         p0 = gradcheck.base_p_star(pre[-1][:5], labels, cfg)
         fd = gradcheck.network_fd_gradient(
             params, np.vstack([x, background]), labels,
@@ -274,13 +304,7 @@ def test_criterion_04_ranking_metrics_match_brute_force():
 
 def test_criterion_05_epistemic_shrinks_with_data(scaling_run, expected):
     report, secs = scaling_run
-    frozen = expected["scaling"]
-
-    for got, want in zip(report["curve"], frozen["curve"]):
-        assert got["size"] == want["size"], "expected-results drift: sizes"
-        assert _approx(got["mean_epistemic"], want["mean_epistemic"]), \
-            f"expected-results drift at size {got['size']}: " \
-            f"{got['mean_epistemic']!r} vs frozen {want['mean_epistemic']!r}"
+    _assert_frozen(report, expected["scaling"], "scaling")
 
     by_seed: dict[int, dict[int, float]] = {}
     for row in report["per_run"]:
@@ -297,16 +321,11 @@ def test_criterion_05_epistemic_shrinks_with_data(scaling_run, expected):
 
 def test_criterion_06_ood_separation(standard_run, expected):
     report, secs = standard_run
-    frozen = expected["standard"]
     mean = report["mean"]
     box = mean["ood"]["uniform_box"]
-
-    assert _approx(mean["mean_alpha0_id"], frozen["mean_alpha0_id"]), \
-        "expected-results drift: mean_alpha0_id"
-    assert _approx(box["aupr"], frozen["ood"]["uniform_box"]["aupr"]), \
-        "expected-results drift: uniform_box aupr"
-    assert _approx(box["mean_alpha0"], frozen["ood"]["uniform_box"]["mean_alpha0"]), \
-        "expected-results drift: uniform_box mean_alpha0"
+    _assert_frozen({"mean_accuracy": mean["accuracy"], "mean_ece": mean["ece"],
+                    "mean_alpha0_id": mean["mean_alpha0_id"], "ood": mean["ood"]},
+                   expected["standard"], "standard")
 
     # the Bayes-oracle AUPR on the very points the model was scored on:
     # the ID test split (positive) against the uniform-box set
@@ -335,12 +354,10 @@ def test_criterion_06_ood_separation(standard_run, expected):
 
 def test_criterion_07_regulariser_helps_ood(sweep_run, expected):
     report = sweep_run
-    frozen = expected["sweep"]
-
-    for got, want in zip(report["curve"], frozen["curve"]):
-        assert got["lambda"] == want["lambda"], "expected-results drift: lambdas"
-        assert _approx(got["mean_ood_aupr"], want["mean_ood_aupr"]), \
-            f"expected-results drift at lambda {got['lambda']}"
+    # the lambdas are config values, not measurements: exact
+    assert [row["lambda"] for row in report["curve"]] == \
+        [row["lambda"] for row in expected["sweep"]["curve"]], "expected-results drift: lambdas"
+    _assert_frozen(report, expected["sweep"], "sweep")
 
     by_lam = {row["lambda"]: row for row in report["curve"]}
     zero = by_lam[0.0]["mean_ood_aupr"]
@@ -356,11 +373,7 @@ def test_criterion_07_regulariser_helps_ood(sweep_run, expected):
 
 def test_criterion_08_leave_one_out_probe(probe_run, expected):
     report = probe_run
-    frozen = expected["probe"]
-
-    assert _approx(report["median_ratio"], frozen["median_ratio"]), \
-        f"expected-results drift: median ratio {report['median_ratio']!r} " \
-        f"vs frozen {frozen['median_ratio']!r}"
+    _assert_frozen(report, expected["probe"], "probe")
 
     ok = report["median_ratio"] < 0.05
     _criterion(8, ok, f"median label-sensitivity ratio "

@@ -8,7 +8,7 @@ import pytest
 
 from dappr import harness
 from dappr.cli import main
-from dappr.datasets import gaussian_blobs
+from dappr.datasets import gaussian_blobs, long_tail_resample
 from dappr.errors import VerificationFailure
 from dappr.harness import (
     HISTOGRAM_BINS,
@@ -20,8 +20,10 @@ from dappr.harness import (
     emit_alpha0_histogram,
     generate_ood,
     load_config,
+    make_splits,
     ood_names,
     run_eval,
+    run_lambda_sweep,
     run_longtail,
     run_probe,
     run_scaling,
@@ -31,7 +33,7 @@ from dappr.harness import (
     train_config,
     verify_or_raise,
 )
-from dappr.nn import train
+from dappr.nn import forward, train
 from oracles import soft_label_finetune, total_cross_entropy
 
 
@@ -226,6 +228,82 @@ def test_run_longtail_counts_and_per_class(tmp_path):
     for row in report["per_class"]:
         assert row["mean_alpha0"] > 0.0
     assert (tmp_path / "out" / "longtail.csv").exists()
+
+
+# enough training for the tiny runs to separate classes and lambdas
+TRAINED_MODEL = {"hidden": [8], "epochs": 20, "batch_size": 16, "learning_rate": 1e-2}
+
+
+def test_run_longtail_matches_direct_computation(tmp_path):
+    cfg = tiny_config(tmp_path, seeds=[1, 2], longtail_rho=0.25, model=TRAINED_MODEL)
+    report = run_longtail(cfg)
+
+    train_ds, val_ds, test_ds = make_splits(cfg)
+    tail = long_tail_resample(train_ds, cfg.longtail_rho, cfg.split_seed)
+    accs, class_acc, class_alpha0 = [], np.zeros(3), np.zeros(3)
+    for seed in cfg.seeds:
+        params, _ = train(tail.features, tail.labels, val_ds.features, val_ds.labels,
+                          train_config(cfg, seed, tail.dim, tail.n_classes))
+        logits = forward(params, test_ds.features)
+        predictions = np.argmax(logits, axis=1)
+        alpha0 = np.sum(np.logaddexp(0.0, logits) + 1.0, axis=1)
+        accs.append(100.0 * np.mean(predictions == test_ds.labels))
+        for k in range(3):
+            members = test_ds.labels == k
+            class_acc[k] += 100.0 * np.mean(predictions[members] == k) / len(cfg.seeds)
+            class_alpha0[k] += np.mean(alpha0[members]) / len(cfg.seeds)
+
+    assert report["train_counts"] == tail.class_counts().tolist()
+    assert [r["accuracy"] for r in report["per_seed"]] == pytest.approx(accs, rel=1e-12)
+    assert report["mean"]["accuracy"] == pytest.approx(np.mean(accs), rel=1e-12)
+    assert report["std"]["accuracy"] == pytest.approx(np.std(accs, ddof=1),
+                                                      rel=1e-9, abs=1e-12)
+    per_class = report["per_class"]
+    assert [r["class"] for r in per_class] == [0, 1, 2]
+    assert [r["test_accuracy"] for r in per_class] == pytest.approx(class_acc, rel=1e-12)
+    assert [r["mean_alpha0"] for r in per_class] == pytest.approx(class_alpha0, rel=1e-9)
+    lines = (tmp_path / "out" / "longtail.csv").read_text().splitlines()
+    assert lines[0] == "class,train_count,test_accuracy,mean_alpha0"
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == [
+        [r["class"], r["train_count"], r["test_accuracy"], r["mean_alpha0"]]
+        for r in per_class]
+
+
+def test_run_lambda_sweep_report_and_csv(tmp_path):
+    cfg = tiny_config(tmp_path, seeds=[1, 2], model=TRAINED_MODEL,
+                      loss={"schedule": "constant"}, sweep_lambdas=[0.0, 0.5])
+    report = run_lambda_sweep(cfg)
+    assert report["experiment"] == "sweep"
+    assert report["ood_set"] == "uniform_box"  # the first configured set
+    rows = report["per_run"]
+    assert [(r["lambda"], r["seed"]) for r in rows] == [(0.0, 1), (0.0, 2),
+                                                       (0.5, 1), (0.5, 2)]
+    for point in report["curve"]:
+        mine = [r for r in rows if r["lambda"] == point["lambda"]]
+        assert point["mean_accuracy"] == np.mean([r["accuracy"] for r in mine])
+        assert point["mean_ood_aupr"] == np.mean([r["ood_aupr"] for r in mine])
+    assert [p["lambda"] for p in report["curve"]] == [0.0, 0.5]
+
+    # one lambda of the sweep is the standard run at that lambda, bit for bit
+    standard = run_standard(apply_overrides(cfg, lam=0.5, out=str(tmp_path / "std")))
+    assert [(r["accuracy"], r["ood_aupr"]) for r in rows[2:]] == [
+        (s["accuracy"], s["ood"]["uniform_box"]["aupr"]) for s in standard["per_seed"]]
+
+    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "lambda,seed,accuracy,ood_aupr"
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == [
+        [r["lambda"], r["seed"], r["accuracy"], r["ood_aupr"]] for r in rows]
+
+
+def test_run_lambda_sweep_needs_an_ood_set(tmp_path, capsys):
+    cfg = tiny_config(tmp_path, ood=[])
+    with pytest.raises(ValueError, match="needs at least one ood entry"):
+        run_lambda_sweep(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert "needs at least one ood entry" in line
 
 
 def test_run_probe_rows_and_determinism(tmp_path):
@@ -442,4 +520,4 @@ def test_cli_verification_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr("dappr.cli.verify_or_raise", boom)
     assert main(["verify"]) == 2
     err = capsys.readouterr().err
-    assert "[FAIL] x" in err and "error:" in err
+    assert "[FAIL] x  (synthetic)" in err and "error:" in err

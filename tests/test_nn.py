@@ -121,7 +121,7 @@ def test_end_to_end_gradients_match_fd(loss_kind, sizes):
             return cross_entropy_loss(logits, labels, cfg, 0).value
 
     grads_w, grads_b = backward(params, pre, acts, out.grad_logits)
-    analytic = gradcheck.flatten_network_grads(grads_w, grads_b)
+    analytic = flat_gradient(grads_w, grads_b)
     fd = gradcheck.network_fd_gradient(params, x, labels, value_fn)
     assert gradcheck.relative_error(analytic, fd) < 1e-4
 
@@ -146,11 +146,29 @@ def test_training_step_with_background_matches_fd(sizes):
         return (gradcheck.frozen_pstar_value(logits[:6], labels, cfg, 0, p_star)
                 + gradcheck.vacuous_penalty_value(logits[6:]))
 
-    analytic = gradcheck.flatten_network_grads(grads_w, grads_b)
+    analytic = flat_gradient(grads_w, grads_b)
     fd = gradcheck.network_fd_gradient(params, np.vstack([x, background]), labels,
                                        value_fn)
     assert gradcheck.relative_error(analytic, fd) < 1e-4
 
+
+
+def test_network_fd_gradient_leaves_params_untouched():
+    # the perturbations go to a packed copy: every weight and bias array of
+    # params keeps its identity and its exact bits, also while value_fn runs
+    rng = np.random.default_rng(44)
+    params = init_network((3, 8, 4), seed=9)
+    arrays = params.weights + params.biases
+    before = [a.tobytes() for a in arrays]
+    x = rng.normal(size=(5, 3))
+
+    def value_fn(logits):
+        assert [a.tobytes() for a in arrays] == before
+        return float(np.sum(logits ** 2))
+
+    gradcheck.network_fd_gradient(params, x, None, value_fn)
+    assert all(a is b for a, b in zip(params.weights + params.biases, arrays))
+    assert [a.tobytes() for a in arrays] == before
 
 def test_relu_blocks_gradient_through_dead_units():
     # one hidden unit driven permanently negative must keep zero gradient
