@@ -23,7 +23,7 @@ from .metrics import (ReliabilityBins, aleatoric_uncertainty, aupr, auroc,
                       softmax_entropy)
 from .nn import (NetworkParams, TrainConfig, TrainHistory, background_law,
                  forward, init_network, load_checkpoint, predict_alpha,
-                 predict_labels, predict_logits, save_checkpoint, train)
+                 predict_labels, save_checkpoint, train)
 from .possibility import (DirichletParams, PossibilityTable, SimplexGrid,
                           SimplexPoint, default_grid_resolution,
                           dirichlet_mode, dirichlet_possibility,

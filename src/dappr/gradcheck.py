@@ -77,7 +77,7 @@ def vacuous_penalty_fd_gradient(logits, h: float = FD_STEP) -> np.ndarray:
     return fd_gradient(vacuous_penalty_value, np.asarray(logits, dtype=np.float64), h)
 
 
-def network_fd_gradient(params: NetworkParams, x, labels, value_fn,
+def network_fd_gradient(params: NetworkParams, x, value_fn,
                         h: float = FD_STEP) -> np.ndarray:
     """FD gradient of value_fn(logits) wrt all weights and biases.
 

@@ -831,7 +831,7 @@ def run_verify() -> VerifyReport:
     analytic = flat_gradient(grads_w, grads_b)
     p0 = gradcheck.base_p_star(pre[-1], labels, cfg)
     fd = gradcheck.network_fd_gradient(
-        params, x, labels,
+        params, x,
         lambda logits: gradcheck.frozen_pstar_value(logits, labels, cfg, 0, p0))
     err = gradcheck.relative_error(analytic, fd)
     check("gradient_end_to_end", err < 1e-4, f"rel err {err:.3e}")

@@ -66,7 +66,7 @@ def _check_binary(labels, scores):
         raise ValueError("labels and scores must be 1-d vectors of equal length")
     if y.size == 0:
         raise MetricUndefinedError("empty input")
-    if not np.all(np.isin(y, (0, 1))):
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be binary (0 or 1)")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
@@ -79,9 +79,16 @@ def _check_binary(labels, scores):
 def aupr(labels, scores) -> float:
     """Non-interpolated average precision (higher score = predicted positive)."""
     y, s, n_pos = _check_binary(labels, scores)
-    order = np.argsort(-s, kind="stable")
+    n = y.size
+    # The stable descending order, built from numpy's faster unstable sort:
+    # number the runs of equal sorted scores, then order by (run, index).
+    # The keys run * n + index are distinct, so any sort of them is stable.
+    order = np.argsort(-s)
+    ordered = s[order]
+    run = np.concatenate(([0], np.cumsum(ordered[1:] != ordered[:-1])))
+    order = order[np.argsort(run * n + order)]
     hits = y[order]
-    precision = np.cumsum(hits) / np.arange(1, y.size + 1)
+    precision = np.cumsum(hits) / np.arange(1, n + 1)
     return float(np.sum(precision[hits == 1]) / n_pos)
 
 
@@ -89,10 +96,11 @@ def auroc(labels, scores) -> float:
     """Probability a positive outranks a negative, ties counting 1/2."""
     y, s, n_pos = _check_binary(labels, scores)
     n = y.size
-    order = np.argsort(s, kind="stable")
+    order = np.argsort(s)
     ordered = s[order]
     # Runs of tied scores in sorted order: positions i..j share the average
-    # of their 1-based ranks, (i + j + 2) / 2.
+    # of their 1-based ranks, (i + j + 2) / 2, so the order within a run
+    # does not matter.
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     ends = np.append(starts[1:], n) - 1
     ranks = np.empty(n, dtype=np.float64)
@@ -108,7 +116,7 @@ def _check_confidences(confidences, correct):
         raise ValueError("confidences and correctness must be 1-d vectors of equal length")
     if c.size and (np.any(c < 0.0) or np.any(c > 1.0)):
         raise ValueError("confidences must lie in [0, 1]")
-    if not np.all(np.isin(ok, (0, 1))):
+    if not ((ok == 0) | (ok == 1)).all():
         raise ValueError("correctness flags must be binary")
     return c, ok.astype(np.float64)
 

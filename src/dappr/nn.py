@@ -140,7 +140,9 @@ def _forward_cached(params: NetworkParams, x: np.ndarray):
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
+        # In place: h @ w + b would allocate a second (batch, n_out) array.
+        z = h @ w
+        z += b
         pre.append(z)
         h = z if i == last else np.maximum(z, 0.0)
         acts.append(h)
@@ -300,10 +302,6 @@ def train(train_x, train_y, val_x, val_y, cfg: TrainConfig):
     if cfg.early_stopping and best is not None:
         flat[...] = best
     return params, history
-
-
-def predict_logits(params: NetworkParams, x) -> np.ndarray:
-    return forward(params, x)
 
 
 def predict_labels(params: NetworkParams, x) -> np.ndarray:

@@ -189,7 +189,7 @@ def test_criterion_02_gradient_fidelity():
         analytic = flat_gradient(grads_w, grads_b)
         p0 = gradcheck.base_p_star(pre[-1], labels, cfg)
         fd = gradcheck.network_fd_gradient(
-            params, x, labels,
+            params, x,
             lambda logits: gradcheck.frozen_pstar_value(logits, labels, cfg, 0, p0))
         worst_net = max(worst_net, gradcheck.relative_error(analytic, fd))
 
@@ -218,7 +218,7 @@ def test_criterion_02_gradient_fidelity():
         analytic = flat_gradient(grads_w, grads_b)
         p0 = gradcheck.base_p_star(pre[-1][:5], labels, cfg)
         fd = gradcheck.network_fd_gradient(
-            params, np.vstack([x, background]), labels,
+            params, np.vstack([x, background]),
             lambda logits: (gradcheck.frozen_pstar_value(logits[:5], labels, cfg, 0, p0)
                             + gradcheck.vacuous_penalty_value(logits[5:])))
         worst_net = max(worst_net, gradcheck.relative_error(analytic, fd))

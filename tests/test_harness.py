@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dappr import harness
+from dappr import harness, nn
 from dappr.cli import main
 from dappr.datasets import gaussian_blobs, long_tail_resample
 from dappr.errors import VerificationFailure
@@ -369,6 +369,41 @@ def test_run_probe_rejects_oversized_probe(tmp_path):
         run_probe(cfg)
 
 
+@pytest.mark.parametrize("loss_kind", ["dappr", "cross_entropy"])
+def test_evaluate_seed_scores_each_row_set_once_through_the_layer_loop(
+        monkeypatch, loss_kind):
+    # evaluate_seed looks model_uncertainties up as a harness global and calls
+    # it as (params, x) once per row set, with the caller's own arrays; every
+    # forward goes through nn._forward_cached, the one layer loop
+    params = nn.init_network((2, 8, 3), seed=1, loss_kind=loss_kind)
+    test = gaussian_blobs(3, 10, 2, 1.0, 5)
+    box = np.random.default_rng(6).uniform(-8.0, 8.0, size=(25, 2))
+    scored, forwards, layer_loops = [], [], []
+    original_scores = harness.model_uncertainties
+    original_forward = harness.forward
+    original_loop = nn._forward_cached
+
+    def capture(params, x):
+        scored.append(x)
+        return original_scores(params, x)
+
+    def counted_forward(params, x):
+        forwards.append(x)
+        return original_forward(params, x)
+
+    def counted_loop(params, x):
+        layer_loops.append(x)
+        return original_loop(params, x)
+
+    monkeypatch.setattr(harness, "model_uncertainties", capture)
+    monkeypatch.setattr(harness, "forward", counted_forward)
+    monkeypatch.setattr(nn, "_forward_cached", counted_loop)
+    result, _ = harness.evaluate_seed(params, test, {"uniform_box": box})
+    assert [id(x) for x in scored] == [id(test.features), id(box)]
+    assert len(forwards) == 3 and len(layer_loops) == len(forwards)
+    assert set(result["ood"]) == {"uniform_box"}
+
+
 # ---------------------------------------------------------------------------
 # verification gate
 
@@ -440,6 +475,18 @@ def test_cli_verify_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
     assert "checks passed" in out
+
+
+@pytest.mark.parametrize("flags", [["--config", "/nonexistent.json"], ["--seed", "3"],
+                                   ["--out", "x"], ["--lambda", "0.1"],
+                                   ["--schedule", "warmup"], ["--eps", "0.1"]])
+def test_cli_verify_rejects_runner_flags(flags, capsys):
+    # verify reads no config, so a flag it would ignore is an argument error
+    assert main(["verify", *flags]) == 1
+    captured = capsys.readouterr()
+    line = _single_error_line(captured.err)
+    assert "unrecognized arguments" in line and flags[0] in line
+    assert "[PASS]" not in captured.out
 
 
 def test_cli_bad_arguments_exit_one(capsys):

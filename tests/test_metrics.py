@@ -236,3 +236,31 @@ def test_auroc_matches_pairwise_count_with_heavy_ties(n, levels, seed):
     pos, neg = scores[labels == 1], scores[labels == 0]
     wins = (pos[:, None] > neg).sum() + 0.5 * (pos[:, None] == neg).sum()
     assert auroc(labels, scores) == wins / (pos.size * neg.size)
+
+
+def _stable_sort_aupr(labels, scores):
+    # the textbook walk with numpy's stable sort, summed as aupr sums
+    order = np.argsort(-scores, kind="stable")
+    hits = labels[order]
+    precision = np.cumsum(hits) / np.arange(1, hits.size + 1)
+    return float(np.sum(precision[hits == 1]) / hits.sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 2000), st.sampled_from([1, 2, 3, 10, 1000]),
+       st.integers(0, 2**32 - 1))
+def test_aupr_keeps_index_order_on_heavy_ties(n, levels, seed):
+    # aupr ranks on an unstable sort and rebuilds the stable order; ties,
+    # including -0.0 against 0.0, must still go by original index
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = (0, 1)
+    scores = (rng.integers(0, levels, size=n) - levels // 2) / 7.0
+    scores = np.where(scores == 0.0, rng.choice([-0.0, 0.0], size=n), scores)
+    value = aupr(labels, scores)
+    assert value == _stable_sort_aupr(labels, scores)
+    # the oracle sums one term at a time, np.sum pairwise: the last bits may
+    # differ, but at n <= 2000 a tie taken out of index order moves the value
+    # by more than 1e-10
+    assert value == pytest.approx(
+        rank_walk_average_precision(labels.tolist(), scores.tolist()), rel=1e-12, abs=0)

@@ -73,6 +73,37 @@ def test_forward_matches_hand_computation():
     assert np.array_equal(forward(p, x), want)
 
 
+def _plain_layers(params, x):
+    """Pre-activations of the textbook layer loop, h @ w + b then relu."""
+    pre, h = [], x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w + b
+        pre.append(z)
+        h = z if i == len(params.weights) - 1 else np.maximum(z, 0.0)
+    return pre
+
+
+@pytest.mark.parametrize("copies", [None, 3])
+def test_forward_equals_plain_layer_loop_bit_for_bit(copies):
+    # the bias is added in place: the same additions, so the same bits, and
+    # neither the inputs nor the parameters are written
+    rng = np.random.default_rng(64)
+    nets = [init_network((2, 32, 32, 3), seed=s) for s in range(copies or 1)]
+    for net in nets:
+        net.biases = [rng.normal(size=b.shape) for b in net.biases]
+    params = nets[0] if copies is None else _stack(nets)[1]
+    x = rng.normal(0.0, 3.0, size=(257, 2))
+    arrays = [x] + params.weights + params.biases
+    before = [a.tobytes() for a in arrays]
+    want = _plain_layers(params, x)
+    pre, acts = _forward_cached(params, x)
+    assert all(np.array_equal(a, b) for a, b in zip(pre, want))
+    assert all(np.array_equal(a, np.maximum(b, 0.0)) for a, b in zip(acts[1:-1], want))
+    assert acts[0] is x and acts[-1] is pre[-1]
+    assert np.array_equal(forward(params, x), want[-1])
+    assert [a.tobytes() for a in arrays] == before
+
+
 def test_forward_rejects_wrong_width():
     p = init_network((3, 4, 2), seed=0)
     with pytest.raises(ValueError):
@@ -122,7 +153,7 @@ def test_end_to_end_gradients_match_fd(loss_kind, sizes):
 
     grads_w, grads_b = backward(params, pre, acts, out.grad_logits)
     analytic = flat_gradient(grads_w, grads_b)
-    fd = gradcheck.network_fd_gradient(params, x, labels, value_fn)
+    fd = gradcheck.network_fd_gradient(params, x, value_fn)
     assert gradcheck.relative_error(analytic, fd) < 1e-4
 
 
@@ -147,8 +178,7 @@ def test_training_step_with_background_matches_fd(sizes):
                 + gradcheck.vacuous_penalty_value(logits[6:]))
 
     analytic = flat_gradient(grads_w, grads_b)
-    fd = gradcheck.network_fd_gradient(params, np.vstack([x, background]), labels,
-                                       value_fn)
+    fd = gradcheck.network_fd_gradient(params, np.vstack([x, background]), value_fn)
     assert gradcheck.relative_error(analytic, fd) < 1e-4
 
 
@@ -166,7 +196,7 @@ def test_network_fd_gradient_leaves_params_untouched():
         assert [a.tobytes() for a in arrays] == before
         return float(np.sum(logits ** 2))
 
-    gradcheck.network_fd_gradient(params, x, None, value_fn)
+    gradcheck.network_fd_gradient(params, x, value_fn)
     assert all(a is b for a, b in zip(params.weights + params.biases, arrays))
     assert [a.tobytes() for a in arrays] == before
 
