@@ -12,7 +12,7 @@ from .datasets import (LabeledDataset, SplitSpec, gaussian_blobs, load_csv,
                        two_moons)
 from .errors import (CsvParseError, DapprError, DegenerateAlphaError,
                      MaximiserValidityError, MetricUndefinedError,
-                     StratificationError, VerificationFailure)
+                     StratificationError)
 from .loss import (LossConfig, LossOutput, closed_form_maximiser,
                    cross_entropy_loss, dappr_loss, lambda_schedule,
                    multi_observation_maximiser, softplus_plus_one,

@@ -13,10 +13,9 @@ import argparse
 import json
 import sys
 
-from .errors import VerificationFailure
 from .harness import (ExperimentConfig, apply_overrides, load_config,
                       run_eval, run_lambda_sweep, run_longtail, run_probe,
-                      run_scaling, run_standard, run_train, verify_or_raise)
+                      run_scaling, run_standard, run_train, run_verify)
 
 _RUNNERS = {
     "train": run_train,
@@ -65,11 +64,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "verify":
-            report = verify_or_raise()
-            for check in report.checks:
-                print(_check_line(*check))
-            print(f"{len(report.checks)} checks passed")
-            return 0
+            report = run_verify()
+            failed = [name for name, ok, _ in report.checks if not ok]
+            last = (f"error: verification failed: {failed}" if failed
+                    else f"{len(report.checks)} checks passed")
+            for line in [_check_line(*check) for check in report.checks] + [last]:
+                print(line, file=sys.stderr if failed else sys.stdout)
+            return 2 if failed else 0
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         cfg = apply_overrides(cfg, seed=args.seed, out=args.out, lam=args.lam,
                               schedule=args.schedule, eps=args.eps)
@@ -78,11 +79,6 @@ def main(argv=None) -> int:
         summary = {k: report[k] for k in ("experiment",) if k in report}
         print(json.dumps({**summary, "out": cfg.out}))
         return 0
-    except VerificationFailure as exc:
-        for check in getattr(exc, "checks", []):
-            print(_check_line(*check), file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
 Everything that signals a bad argument subclasses ValueError so callers can
-catch broadly; the CLI maps ValueError to exit code 1 and VerificationFailure
-to exit code 2.
+catch broadly; the CLI maps ValueError to exit code 1.
 """
 
 
@@ -36,7 +35,3 @@ class CsvParseError(DapprError, ValueError):
     def __init__(self, line_number: int, message: str):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {message}")
-
-
-class VerificationFailure(DapprError):
-    """Raised by the verification gate when any oracle check fails."""

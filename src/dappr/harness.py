@@ -27,20 +27,16 @@ from . import gradcheck
 from .datasets import (LabeledDataset, SplitSpec, gaussian_blobs, load_csv,
                        long_tail_resample, ood_generator, split,
                        stratified_subsample, two_moons)
-from .errors import VerificationFailure
-from .loss import (LossConfig, closed_form_maximiser, dappr_loss, one_hot,
-                   softmax, softplus_plus_one)
+from .loss import (LossConfig, dappr_loss, one_hot, softmax,
+                   softplus_plus_one)
 from .metrics import (aleatoric_uncertainty, aupr, auroc, ece,
                       epistemic_uncertainty, reliability_bins,
                       softmax_entropy)
 from .nn import (NetworkParams, TrainConfig, _Adam, _forward_cached, backward,
                  flat_gradient, forward, init_network, load_checkpoint,
                  network_slice, pack_network, save_checkpoint, train)
-from .possibility import (DirichletParams, PossibilityTable, SimplexPoint,
-                          default_grid_resolution, dirichlet_mode,
-                          dirichlet_possibility, grid_argmax_surrogate,
-                          log_dirichlet_possibility, maxitive_divergence,
-                          possibilistic_posterior, pushforward_possibility,
+from .possibility import (DirichletParams, SimplexPoint,
+                          dirichlet_possibility, log_dirichlet_possibility,
                           simplex_grid)
 
 log = logging.getLogger("dappr")
@@ -726,13 +722,15 @@ class VerifyReport:
 
 
 def run_verify() -> VerifyReport:
-    """Oracle battery over the possibility and loss layers.
+    """Oracle battery over the possibility layer, the loss and a training step.
 
     Covers: closed form vs grid argmax, mode optimality, grid supremum
     normalisation, divergence non-negativity and domination, posterior
     normalisation, pushforward identity and empty pre-image, frozen scalar
-    values, and finite-difference gradient checks (loss-level and through a
-    small network).
+    values, finite-difference gradients of the surrogate and of the
+    vacuous-evidence penalty, and one full dappr training step with
+    background rows checked against its FD oracle.  The cases come from the
+    gradcheck battery, a few per check.
     """
     checks = []
 
@@ -741,23 +739,11 @@ def run_verify() -> VerifyReport:
 
     rng = np.random.default_rng(20240817)
 
-    # Closed form vs grid argmax, K in {2, 3}.
-    worst = 0.0
-    for k in (2, 3):
-        grid = simplex_grid(k, default_grid_resolution(k))
-        for _ in range(10):
-            d = DirichletParams(rng.uniform(1.1, 6.0, size=k))
-            y = int(rng.integers(k))
-            gap = np.max(np.abs(closed_form_maximiser(d, y).probs
-                                - grid_argmax_surrogate(d, y, grid).probs))
-            worst = max(worst, float(gap))
+    grids = [simplex_grid(k, 200) for k in (2, 3)]
+    worst = max(gradcheck.closed_form_gap(rng, grid) for grid in grids for _ in range(10))
     check("closed_form_vs_grid", worst <= 2.0 / 200, f"max gap {worst:.3e}")
 
-    # Mode optimality: exactly zero log possibility at the mode.
-    worst = 0.0
-    for _ in range(20):
-        d = DirichletParams(rng.uniform(0.2, 5.0, size=int(rng.integers(2, 6))))
-        worst = max(worst, abs(log_dirichlet_possibility(d, dirichlet_mode(d))))
+    worst = max(gradcheck.mode_log_possibility(rng) for _ in range(20))
     check("mode_optimality_exact", worst == 0.0, f"max |log g(mode)| {worst:.3e}")
 
     # Grid supremum close to 1.
@@ -769,36 +755,17 @@ def run_verify() -> VerifyReport:
         lo = min(lo, float(dirichlet_possibility(d, interior).max()))
     check("grid_sup_normalised", 1 - 5.0 / 200 <= lo <= 1 + 1e-6, f"min sup {lo:.6f}")
 
-    # Divergence properties.
-    ok = True
-    detail = ""
-    for _ in range(20):
-        raw = rng.uniform(0.0, 1.0, size=8)
-        g = PossibilityTable(raw / raw.max())
-        # f dominated by g with a shared maximum point:
-        u = rng.uniform(0.0, 1.0, size=8)
-        u[int(np.argmax(g.values))] = 1.0
-        f = PossibilityTable(g.values * u)
-        d_fg = maxitive_divergence(f, g)
-        d_gf = maxitive_divergence(g, f) if np.all(f.values > 0) else 0.0
-        if d_fg != 0.0 or d_gf < -1e-12:
-            ok = False
-            detail = f"D(f||g)={d_fg!r}, D(g||f)={d_gf!r}"
-            break
-    check("divergence_domination_zero", ok, detail)
+    pairs = [gradcheck.dominated_divergences(rng) for _ in range(20)]
+    d_fg = max(abs(fg) for fg, _ in pairs)
+    d_gf = min(gf for _, gf in pairs)
+    check("divergence_domination_zero", d_fg == 0.0 and d_gf >= -1e-12,
+          f"max |D(f||g)| {d_fg!r}, min D(g||f) {d_gf!r}")
 
-    # Posterior normalisation.
-    losses = rng.uniform(0.0, 10.0, size=12)
-    post = possibilistic_posterior(losses)
-    check("posterior_max_one",
-          post.values.max() == 1.0 and post.values[int(np.argmin(losses))] == 1.0)
+    worst = max(gradcheck.posterior_peak_gap(rng) for _ in range(3))
+    check("posterior_max_one", worst == 0.0, f"max gap {worst!r}")
 
-    # Pushforward: identity mapping and empty pre-image.
-    table = possibilistic_posterior(rng.uniform(0.0, 3.0, size=6))
-    ident = pushforward_possibility(table, np.arange(6), 6)
-    padded = pushforward_possibility(table, np.arange(6), 7)
-    check("pushforward_identity",
-          np.array_equal(ident.values, table.values) and padded.values[6] == 0.0)
+    worst = max(gradcheck.pushforward_gap(rng) for _ in range(3))
+    check("pushforward_identity", worst == 0.0, f"max gap {worst!r}")
 
     # Frozen scalar values.
     val = log_dirichlet_possibility(DirichletParams([2.0, 1.0, 1.0]),
@@ -809,31 +776,12 @@ def run_verify() -> VerifyReport:
     check("frozen_unit_logits_loss", abs(out.value - (-0.326968552235965)) < 1e-12,
           f"got {out.value!r}")
 
-    # Gradient fidelity, loss level.
-    worst = 0.0
-    for lam in (0.0, 2e-3):
-        cfg = LossConfig(lam=lam)
-        z = rng.normal(0.0, 2.0, size=(4, 3))
-        labels = rng.integers(0, 3, size=4)
-        analytic = dappr_loss(z, labels, cfg, 0).grad_logits
-        fd = gradcheck.dappr_loss_fd_gradient(z, labels, cfg, 0)
-        worst = max(worst, gradcheck.relative_error(analytic, fd))
+    worst = max([gradcheck.loss_gradient_error(rng, LossConfig(lam=lam))
+                 for lam in (0.0, 2e-3)]
+                + [gradcheck.penalty_gradient_error(rng) for _ in range(2)])
     check("gradient_loss_level", worst < 1e-5, f"max rel err {worst:.3e}")
 
-    # Gradient fidelity, end to end through a small network.
-    params = init_network((2, 8, 8, 3), seed=5)
-    x = rng.normal(0.0, 1.0, size=(6, 2))
-    labels = rng.integers(0, 3, size=6)
-    cfg = LossConfig(lam=2e-3)
-    pre, acts = _forward_cached(params, x)
-    out = dappr_loss(pre[-1], labels, cfg, 0)
-    grads_w, grads_b = backward(params, pre, acts, out.grad_logits)
-    analytic = flat_gradient(grads_w, grads_b)
-    p0 = gradcheck.base_p_star(pre[-1], labels, cfg)
-    fd = gradcheck.network_fd_gradient(
-        params, x,
-        lambda logits: gradcheck.frozen_pstar_value(logits, labels, cfg, 0, p0))
-    err = gradcheck.relative_error(analytic, fd)
+    err = gradcheck.step_gradient_error(rng, background=True)
     check("gradient_end_to_end", err < 1e-4, f"rel err {err:.3e}")
 
     # Ranking metric frozen examples.
@@ -842,13 +790,3 @@ def run_verify() -> VerifyReport:
           and auroc([1, 0, 1, 0], [0.9, 0.8, 0.7, 0.1]) == 0.75)
 
     return VerifyReport(checks)
-
-
-def verify_or_raise() -> VerifyReport:
-    report = run_verify()
-    if not report.all_passed:
-        failed = [name for name, ok, _ in report.checks if not ok]
-        exc = VerificationFailure(f"verification failed: {failed}")
-        exc.checks = report.checks
-        raise exc
-    return report

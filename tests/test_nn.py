@@ -141,19 +141,14 @@ def test_end_to_end_gradients_match_fd(loss_kind, sizes):
     pre, acts = _forward_cached(params, x)
     if loss_kind == "dappr":
         out = dappr_loss(pre[-1], labels, cfg, 0)
-        p_star = gradcheck.base_p_star(pre[-1], labels, cfg)
-
-        def value_fn(logits):
-            return gradcheck.frozen_pstar_value(logits, labels, cfg, 0, p_star)
+        fd = gradcheck.step_fd_gradient(params, x, labels, cfg)
     else:
         out = cross_entropy_loss(pre[-1], labels, cfg, 0)
-
-        def value_fn(logits):
-            return cross_entropy_loss(logits, labels, cfg, 0).value
+        fd = gradcheck.network_fd_gradient(
+            params, x, lambda logits: cross_entropy_loss(logits, labels, cfg, 0).value)
 
     grads_w, grads_b = backward(params, pre, acts, out.grad_logits)
     analytic = flat_gradient(grads_w, grads_b)
-    fd = gradcheck.network_fd_gradient(params, x, value_fn)
     assert gradcheck.relative_error(analytic, fd) < 1e-4
 
 
@@ -171,15 +166,25 @@ def test_training_step_with_background_matches_fd(sizes):
     data_logits = forward(params, x)
     assert out.value == pytest.approx(dappr_loss(data_logits, labels, cfg, 0).value,
                                       rel=1e-12)
-    p_star = gradcheck.base_p_star(data_logits, labels, cfg)
-
-    def value_fn(logits):
-        return (gradcheck.frozen_pstar_value(logits[:6], labels, cfg, 0, p_star)
-                + gradcheck.vacuous_penalty_value(logits[6:]))
-
     analytic = flat_gradient(grads_w, grads_b)
-    fd = gradcheck.network_fd_gradient(params, np.vstack([x, background]), value_fn)
+    fd = gradcheck.step_fd_gradient(params, x, labels, cfg, background)
     assert gradcheck.relative_error(analytic, fd) < 1e-4
+
+
+def test_near_relu_kink_looks_at_hidden_units_only():
+    # hidden pre-activations on x = 0.5 are [0, 1]: the first unit sits on
+    # its kink.  Shifted by 1 it is clear of it, though both logits are then
+    # exactly 0: the output layer has no relu.
+    w1 = np.array([[1.0, 2.0]])
+    b1 = np.array([-0.5, 0.0])
+    w2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    b2 = np.array([0.0, 0.0])
+    p = NetworkParams((1, 2, 2), [w1, w2], [b1, b2], seed=0, loss_kind="dappr")
+    x = np.array([[0.5]])
+    assert gradcheck.near_relu_kink(p, x)
+    b1[0] += 1.0
+    assert forward(p, x).tolist() == [[0.0, 0.0]]
+    assert not gradcheck.near_relu_kink(p, x)
 
 
 
