@@ -51,17 +51,23 @@ def fd_gradient(f, x0: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     return grad
 
 
-def frozen_pstar_value(logits, labels, cfg: LossConfig, epoch: int,
-                       p_star: np.ndarray) -> float:
-    """Surrogate batch value with an externally fixed p* (detach semantics)."""
-    z = np.asarray(logits, dtype=np.float64)
-    y = one_hot(labels, z.shape[1])
+def frozen_pstar_objective(labels, cfg: LossConfig, epoch: int, p_star: np.ndarray):
+    """Surrogate batch value as a function of the logits, p* fixed externally.
+
+    Detach semantics: p* does not move with the logits.  The one-hot labels
+    and lam_t are built here once, not once per evaluation.
+    """
+    off = 1.0 - one_hot(labels, p_star.shape[1])
     lam_t = lambda_schedule(cfg, epoch)
-    alpha = softplus(z) + 1.0
-    alpha0 = alpha.sum(axis=1)
-    surrogate = alpha0 * np.log(alpha0) + np.sum(alpha * np.log(p_star / alpha), axis=1)
-    pen = np.sum((alpha * (1.0 - y)) ** 2, axis=1)
-    return float(surrogate.mean() + lam_t * pen.mean())
+
+    def value(logits) -> float:
+        alpha = softplus(np.asarray(logits, dtype=np.float64)) + 1.0
+        alpha0 = alpha.sum(axis=1)
+        surrogate = alpha0 * np.log(alpha0) + np.sum(alpha * np.log(p_star / alpha), axis=1)
+        pen = np.sum((alpha * off) ** 2, axis=1)
+        return float(surrogate.mean() + lam_t * pen.mean())
+
+    return value
 
 
 def base_p_star(logits, labels, cfg: LossConfig) -> np.ndarray:
@@ -76,10 +82,8 @@ def dappr_loss_fd_gradient(logits, labels, cfg: LossConfig, epoch: int = 0,
                            h: float = FD_STEP) -> np.ndarray:
     """FD gradient of the surrogate loss wrt logits, p* frozen at the base."""
     p0 = base_p_star(logits, labels, cfg)
-    return fd_gradient(
-        lambda z: frozen_pstar_value(z, labels, cfg, epoch, p0),
-        np.asarray(logits, dtype=np.float64), h,
-    )
+    return fd_gradient(frozen_pstar_objective(labels, cfg, epoch, p0),
+                       np.asarray(logits, dtype=np.float64), h)
 
 
 def vacuous_penalty_value(logits) -> float:
@@ -121,19 +125,25 @@ def step_fd_gradient(params: NetworkParams, x, labels, cfg: LossConfig,
     """
     b = len(x)
     rows = x if background is None else np.vstack([x, background])
-    p0 = base_p_star(forward(params, rows)[:b], labels, cfg)
+    data_value = frozen_pstar_objective(
+        labels, cfg, 0, base_p_star(forward(params, rows)[:b], labels, cfg))
 
     def value(logits):
-        data = frozen_pstar_value(logits[:b], labels, cfg, 0, p0)
+        data = data_value(logits[:b])
         return data if background is None else data + vacuous_penalty_value(logits[b:])
 
     return network_fd_gradient(params, rows, value)
 
 
 def near_relu_kink(params: NetworkParams, rows) -> bool:
-    """True when any hidden pre-activation on rows is within KINK_MARGIN of 0."""
-    pre, _ = _forward_cached(params, rows)
-    return any(float(np.min(np.abs(p))) < KINK_MARGIN for p in pre[:-1])
+    """True when any hidden pre-activation on rows is within KINK_MARGIN of 0.
+
+    The forward cache keeps activations only, so each hidden layer's
+    pre-activation is recomputed from that layer's cached input.
+    """
+    acts = _forward_cached(params, rows)
+    return any(float(np.min(np.abs(a @ w + b))) < KINK_MARGIN
+               for a, w, b in zip(acts[:-2], params.weights, params.biases))
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -220,6 +230,9 @@ def step_gradient_error(rng, background: bool) -> float:
         labels = rng.integers(0, 3, size=5)
         if not near_relu_kink(params, x if bg is None else np.vstack([x, bg])):
             break
-    _, grads_w, grads_b = _step_gradients(params, x, labels, dappr_loss, cfg, 0, bg)
-    return relative_error(flat_gradient(grads_w, grads_b),
+    # training's step on a stack of one network
+    _, stack = pack_network(params, copies=1)
+    _, grads_w, grads_b = _step_gradients(stack, x[None], labels[None], dappr_loss, cfg,
+                                          0, None if bg is None else bg[None])
+    return relative_error(flat_gradient(grads_w, grads_b)[0],
                           step_fd_gradient(params, x, labels, cfg, bg))

@@ -272,11 +272,15 @@ def ood_names(cfg: ExperimentConfig) -> list[str]:
     return names
 
 
-def _fit(cfg: ExperimentConfig, seed: int, train_ds: LabeledDataset,
-         val_ds: LabeledDataset):
-    """Train one model of cfg's spec on train_ds; (params, history)."""
-    tc = train_config(cfg, seed, train_ds.dim, train_ds.n_classes)
-    return train(train_ds.features, train_ds.labels, val_ds.features, val_ds.labels, tc)
+def _fit(cfg: ExperimentConfig, seeds, train_ds: LabeledDataset,
+         val_ds: LabeledDataset) -> list:
+    """Train one model of cfg's spec per seed on train_ds, all as one stack.
+
+    Returns one (params, history) per seed, in order.
+    """
+    configs = [train_config(cfg, seed, train_ds.dim, train_ds.n_classes) for seed in seeds]
+    return train(train_ds.features, train_ds.labels, val_ds.features, val_ds.labels,
+                 configs)
 
 
 def _ood_sets(cfg: ExperimentConfig, n_default: int) -> dict[str, np.ndarray]:
@@ -449,7 +453,7 @@ def run_train(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Train one model (first configured seed); write checkpoint and history."""
     train_ds, val_ds, _ = make_splits(cfg)
     seed = cfg.seeds[0]
-    params, history = _fit(cfg, seed, train_ds, val_ds)
+    [(params, history)] = _fit(cfg, [seed], train_ds, val_ds)
     save_checkpoint(params, outdir / "checkpoint.json")
     _write_csv(outdir / "history.csv", "epoch,train_loss,val_accuracy,val_mean_alpha0",
                [(e, history.train_loss[e], history.val_accuracy[e],
@@ -483,13 +487,12 @@ def run_eval(cfg: ExperimentConfig, outdir: Path, checkpoint_path) -> dict:
 
 @_runner("standard")
 def run_standard(cfg: ExperimentConfig, outdir: Path) -> dict:
-    """Train per seed, evaluate ID metrics and OOD detection, write report."""
+    """Train every seed as one stack, evaluate ID metrics and OOD detection."""
     train_ds, val_ds, test_ds = make_splits(cfg)
     ood_sets = _ood_sets(cfg, test_ds.n)
 
     per_seed, raws = [], []
-    for seed in cfg.seeds:
-        params, _ = _fit(cfg, seed, train_ds, val_ds)
+    for seed, (params, _) in zip(cfg.seeds, _fit(cfg, cfg.seeds, train_ds, val_ds)):
         save_checkpoint(params, outdir / f"checkpoint_seed{seed}.json")
         result, raw = evaluate_seed(params, test_ds, ood_sets)
         per_seed.append({**result, "seed": seed})
@@ -527,8 +530,7 @@ def run_scaling(cfg: ExperimentConfig, outdir: Path) -> dict:
         if size > train_ds.n:
             raise ValueError(f"scaling size {size} exceeds train split ({train_ds.n})")
         subset = stratified_subsample(train_ds, size, cfg.split_seed)
-        for seed in cfg.seeds:
-            params, _ = _fit(cfg, seed, subset, val_ds)
+        for seed, (params, _) in zip(cfg.seeds, _fit(cfg, cfg.seeds, subset, val_ds)):
             result, raw = evaluate_seed(params, test_ds, {})
             rows.append((size, seed, float(np.mean(raw["epistemic"])), result["accuracy"]))
         values = [r[2] for r in rows if r[0] == size]
@@ -555,8 +557,7 @@ def run_longtail(cfg: ExperimentConfig, outdir: Path) -> dict:
     per_seed = []
     per_class_alpha0 = np.zeros(test_ds.n_classes)
     per_class_acc = np.zeros(test_ds.n_classes)
-    for seed in cfg.seeds:
-        params, _ = _fit(cfg, seed, tail_train, val_ds)
+    for seed, (params, _) in zip(cfg.seeds, _fit(cfg, cfg.seeds, tail_train, val_ds)):
         result, raw = evaluate_seed(params, test_ds, {})
         per_seed.append({"seed": seed, "accuracy": result["accuracy"]})
         for k in range(test_ds.n_classes):
@@ -599,8 +600,8 @@ def run_lambda_sweep(cfg: ExperimentConfig, outdir: Path) -> dict:
     for lam in cfg.sweep_lambdas:
         sweep_cfg = replace(cfg, loss=replace(cfg.loss, lam=lam))
         accs, auprs = [], []
-        for seed in cfg.seeds:
-            params, _ = _fit(sweep_cfg, seed, train_ds, val_ds)
+        for seed, (params, _) in zip(cfg.seeds,
+                                     _fit(sweep_cfg, cfg.seeds, train_ds, val_ds)):
             result, _ = evaluate_seed(params, test_ds, ood_sets)
             rows.append((float(lam), seed, result["accuracy"],
                          result["ood"][first]["aupr"]))
@@ -646,9 +647,9 @@ def _soft_label_finetune(params: NetworkParams, rest_x, rest_y, forced_x,
             targets = np.empty((copies, idx.size + 1, k))
             targets[:, :-1] = rest_targets[idx]
             targets[:, -1] = forced_targets
-            pre, acts = _forward_cached(tuned, xb)
-            delta = (softmax(pre[-1]) - targets) / xb.shape[0]
-            grads_w, grads_b = backward(tuned, pre, acts, delta)
+            acts = _forward_cached(tuned, xb)
+            delta = (softmax(acts[-1]) - targets) / xb.shape[0]
+            grads_w, grads_b = backward(tuned, acts, delta)
             opt.step(flat, flat_gradient(grads_w, grads_b, grad))
     return tuned
 
@@ -676,8 +677,8 @@ def run_probe(cfg: ExperimentConfig, outdir: Path) -> dict:
     if cfg.probe.n_probed > ds.n:
         raise ValueError("cannot probe more samples than the dataset has")
 
-    base, _ = _fit(replace(cfg, model=replace(cfg.model, loss_kind="cross_entropy")),
-                   cfg.seeds[0], ds, ds)
+    [(base, _)] = _fit(replace(cfg, model=replace(cfg.model, loss_kind="cross_entropy")),
+                       cfg.seeds[:1], ds, ds)
 
     rng = np.random.default_rng(cfg.probe.seed)
     probed = np.sort(rng.choice(ds.n, size=cfg.probe.n_probed, replace=False))

@@ -213,15 +213,23 @@ def lambda_schedule(cfg: LossConfig, epoch: int) -> float:
     return cfg.lam * epoch / cfg.total_epochs
 
 
-def _check_logits(logits) -> np.ndarray:
+def _check_logit_batches(logits) -> np.ndarray:
+    """A (..., batch, K) logit array: batch >= 1, K >= 2, every entry finite."""
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2:
+    if z.ndim < 2:
         raise ValueError(f"logits must be a 2-d batch, got shape {z.shape}")
-    if z.shape[0] < 1 or z.shape[1] < 2:
+    if z.shape[-2] < 1 or z.shape[-1] < 2:
         raise ValueError(f"need batch >= 1 and >= 2 classes, got shape {z.shape}")
     if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
     return z
+
+
+def _check_logits(logits) -> np.ndarray:
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 2:
+        raise ValueError(f"logits must be a 2-d batch, got shape {z.shape}")
+    return _check_logit_batches(z)
 
 
 def dappr_loss(logits, labels, cfg: LossConfig, epoch: int = 0) -> LossOutput:
@@ -273,13 +281,18 @@ def vacuous_evidence_penalty(logits):
 
     Per row: sum_k (alpha_k - 1)^2 = sum_k softplus(z_k)^2.  The batch value
     is VACUOUS_WEIGHT * mean over rows, and the gradient wrt logits is
-    VACUOUS_WEIGHT * 2 softplus(z) sigmoid(z) / batch.
+    VACUOUS_WEIGHT * 2 softplus(z) sigmoid(z) / batch.  ``logits`` is one
+    (B, K) batch, which gives a float value, or a (..., B, K) stack of
+    batches, which gives one value per leading index and the gradient of
+    each batch on its own.
     """
-    z = _check_logits(logits)
+    z = _check_logit_batches(logits)
+    b = z.shape[-2]
     evidence = softplus(z)
-    value = VACUOUS_WEIGHT * float(np.sum(evidence * evidence)) / z.shape[0]
-    grad_logits = (2.0 * VACUOUS_WEIGHT / z.shape[0]) * evidence * -np.expm1(-evidence)
-    return value, grad_logits
+    squares = evidence * evidence
+    value = VACUOUS_WEIGHT * squares.reshape(z.shape[:-2] + (-1,)).sum(axis=-1) / b
+    grad_logits = (2.0 * VACUOUS_WEIGHT / b) * evidence * -np.expm1(-evidence)
+    return (float(value) if z.ndim == 2 else value), grad_logits
 
 
 def cross_entropy_loss(logits, labels, cfg: LossConfig | None = None,

@@ -4,6 +4,14 @@ ReLU hidden layers, identity output layer, float64 throughout.  No autodiff:
 the loss modules supply analytic logit gradients and this module chains them
 through the layers.  Training is bit-for-bit reproducible for a given seed.
 
+Parameters live in one flat float64 buffer (``pack_network``).  A stack of S
+networks is an (S, block) buffer, model-major, whose per-layer views carry a
+leading network axis; the forward and backward pass take a stack as they
+take one network.  ``train`` trains a list of configs that differ only in
+seed as one stack: one forward and one backward per step for all of them,
+while each network keeps its own shuffles, background draws, loss call and
+optimizer, so every network gets the bits it would get trained alone.
+
 With the concentration head, every training step also draws background
 inputs from a broad Gaussian around the training inputs and fits the
 vacuous Dirichlet (alpha = 1) there, in the same forward/backward pass as
@@ -15,7 +23,6 @@ data do not constrain get alpha0 near K.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -99,23 +106,25 @@ def init_network(layer_sizes, seed: int, loss_kind: str = "dappr") -> NetworkPar
 def pack_network(params: NetworkParams, copies: int | None = None):
     """(flat, packed): a copy of params whose arrays are views into one buffer.
 
-    ``flat`` is a contiguous float64 vector holding every weight, then every
+    ``flat`` is a contiguous float64 buffer holding every weight, then every
     bias, layer by layer; ``packed`` is a NetworkParams whose weights and
     biases are views into it, so an update of ``flat`` updates the network.
-    With ``copies=S`` the views carry a leading network axis, (S, n_in, n_out)
-    weights and (S, 1, n_out) biases, each slice a copy of params.
+    With ``copies=S`` the buffer is model-major, (S, block) with ``flat[s]``
+    network s in the one-network order, and the views carry a leading
+    network axis, (S, n_in, n_out) weights and (S, 1, n_out) biases, each
+    slice a copy of params.
     """
     lead, bias_lead = ((), ()) if copies is None else ((copies,), (copies, 1))
+    arrays = params.weights + params.biases
     shapes = ([lead + w.shape for w in params.weights]
               + [bias_lead + b.shape for b in params.biases])
-    flat = np.empty(sum(math.prod(shape) for shape in shapes))
+    flat = np.empty(lead + (sum(a.size for a in arrays),))
     views, at = [], 0
-    for shape, value in zip(shapes, params.weights + params.biases):
-        size = math.prod(shape)
-        view = flat[at:at + size].reshape(shape)
+    for shape, value in zip(shapes, arrays):
+        view = flat[..., at:at + value.size].reshape(shape)
         view[...] = value
         views.append(view)
-        at += size
+        at += value.size
     n = len(params.weights)
     return flat, replace(params, weights=views[:n], biases=views[n:])
 
@@ -127,26 +136,32 @@ def network_slice(params: NetworkParams, s: int) -> NetworkParams:
 
 
 def flat_gradient(grads_w, grads_b, out: np.ndarray | None = None) -> np.ndarray:
-    """backward's gradients as one vector in pack_network's buffer order.
+    """backward's gradients in pack_network's buffer order.
 
-    Written into ``out`` when given, so a training loop reuses one buffer.
+    (block,) for one network, (S, block) for a stack.  Written into ``out``
+    when given, so a training loop reuses one buffer.
     """
-    return np.concatenate([g.reshape(-1) for g in grads_w + grads_b], out=out)
+    lead = grads_b[0].shape[:-1]
+    return np.concatenate([g.reshape(lead + (-1,)) for g in grads_w + grads_b],
+                          axis=-1, out=out)
 
 
-def _forward_cached(params: NetworkParams, x: np.ndarray):
+def _forward_cached(params: NetworkParams, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output, inputs first: [x, hidden..., logits].
+
+    A stack takes (b, d) rows shared by all its networks or (S, b, d) rows,
+    one set per network.  Only the activations are kept: the bias add and
+    the relu run in place on each layer's matmul output.
+    """
     acts = [x]
-    pre = []
-    h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        # In place: h @ w + b would allocate a second (batch, n_out) array.
-        z = h @ w
-        z += b
-        pre.append(z)
-        h = z if i == last else np.maximum(z, 0.0)
+        h = acts[-1] @ w
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
-    return pre, acts
+    return acts
 
 
 def forward(params: NetworkParams, x) -> np.ndarray:
@@ -156,14 +171,17 @@ def forward(params: NetworkParams, x) -> np.ndarray:
         raise ValueError(
             f"expected inputs of shape (batch, {params.layer_sizes[0]}), got {x.shape}"
         )
-    return _forward_cached(params, x)[0][-1]
+    return _forward_cached(params, x)[-1]
 
 
-def backward(params: NetworkParams, pre, acts, grad_logits):
+def backward(params: NetworkParams, acts, grad_logits):
     """Weight and bias gradients from a logit gradient (chain rule only).
 
-    Works for one network or a stack from pack_network(copies=S); a stack's
-    gradients are (S, n_in, n_out) and (S, n_out).
+    ``acts`` is _forward_cached's list.  A unit's relu passed the gradient
+    exactly where its output is positive, the same mask as a positive
+    pre-activation.  Works for one network or a stack from
+    pack_network(copies=S); a stack's gradients are (S, n_in, n_out) and
+    (S, n_out).
     """
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
@@ -172,26 +190,40 @@ def backward(params: NetworkParams, pre, acts, grad_logits):
         grads_w[i] = acts[i].swapaxes(-1, -2) @ delta
         grads_b[i] = delta.sum(axis=-2)
         if i > 0:
-            delta = (delta @ params.weights[i].swapaxes(-1, -2)) * (pre[i - 1] > 0.0)
+            delta = delta @ params.weights[i].swapaxes(-1, -2)
+            delta *= acts[i] > 0.0
     return grads_w, grads_b
 
 
 class _Adam:
-    """Adam (Kingma & Ba, 2015) as one update of a flat parameter buffer."""
+    """Adam (Kingma & Ba, 2015) as one in-place update of a flat parameter buffer."""
 
     def __init__(self, flat, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
+        self._scratch = np.empty_like(flat)
 
     def step(self, flat, grad):
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+        # flat -= lr m_hat / (sqrt(v_hat) + eps), term for term in that
+        # order, so the bits match the textbook expressions
         self.t += 1
-        self.m = self.b1 * self.m + (1 - self.b1) * grad
-        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
-        m_hat = self.m / (1 - self.b1**self.t)
-        v_hat = self.v / (1 - self.b2**self.t)
-        flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, tmp = self.m, self.v, self._scratch
+        m *= self.b1
+        m += np.multiply(1 - self.b1, grad, out=tmp)
+        v *= self.b2
+        np.multiply(1 - self.b2, grad, out=tmp)
+        tmp *= grad
+        v += tmp
+        np.divide(v, 1 - self.b2**self.t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        step = np.divide(m, 1 - self.b1**self.t)
+        step *= self.lr
+        step /= tmp
+        flat -= step
 
 
 class _Sgd:
@@ -218,27 +250,41 @@ def background_law(train_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _step_gradients(params: NetworkParams, x, labels, loss_fn, loss_cfg,
                     epoch: int, background=None):
-    """Loss output and weight/bias gradients of one training step.
+    """Loss outputs and weight/bias gradients of one training step of a stack.
 
-    ``background`` rows, when given, share the forward/backward pass with the
-    data rows and carry the vacuous-evidence penalty; the returned loss
-    output covers the data rows only.
+    ``params`` is a stack from pack_network(copies=S), ``x`` (S, b, d) and
+    ``labels`` (S, b), one set of rows per network; each network's data
+    logits go through their own ``loss_fn`` call.  ``background`` rows
+    (S, b, d), when given, share the forward/backward pass with the data
+    rows and carry the vacuous-evidence penalty, one call for the stack.
+    Returns (one loss output per network, covering its data rows only,
+    grads_w, grads_b).
     """
-    b = x.shape[0]
+    b = x.shape[1]
     if background is not None:
-        x = np.vstack([x, background])
-    pre, acts = _forward_cached(params, x)
-    out = loss_fn(pre[-1][:b], labels, loss_cfg, epoch)
-    grad_logits = out.grad_logits
+        x = np.concatenate([x, background], axis=1)
+    acts = _forward_cached(params, x)
+    logits = acts[-1]
+    grad_logits = np.empty_like(logits)
+    outs = []
+    for s in range(logits.shape[0]):
+        out = loss_fn(logits[s, :b], labels[s], loss_cfg, epoch)
+        grad_logits[s, :b] = out.grad_logits
+        outs.append(out)
     if background is not None:
-        _, grad_bg = vacuous_evidence_penalty(pre[-1][b:])
-        grad_logits = np.vstack([grad_logits, grad_bg])
-    grads_w, grads_b = backward(params, pre, acts, grad_logits)
-    return out, grads_w, grads_b
+        grad_logits[:, b:] = vacuous_evidence_penalty(logits[:, b:])[1]
+    grads_w, grads_b = backward(params, acts, grad_logits)
+    return outs, grads_w, grads_b
 
 
-def train(train_x, train_y, val_x, val_y, cfg: TrainConfig):
-    """Mini-batch training; returns (params, history).
+def train(train_x, train_y, val_x, val_y, cfg):
+    """Mini-batch training of one TrainConfig, or of a list of them as one stack.
+
+    One config returns (params, history).  A list of configs that differ
+    only in ``seed`` returns one (params, history) per config, in order, each
+    bit for bit what that config trained alone returns: the networks share
+    every forward and backward pass, and each keeps its own shuffles,
+    background draws, loss call and optimizer.
 
     Shuffling is Fisher-Yates with a per-epoch derived seed, so runs are
     reproducible.  For the dappr loss each batch of b data rows is joined by
@@ -249,6 +295,12 @@ def train(train_x, train_y, val_x, val_y, cfg: TrainConfig):
     returned params are the best-validation-accuracy snapshot, otherwise the
     final ones; epochs=0 returns the freshly initialized network.
     """
+    configs = [cfg] if isinstance(cfg, TrainConfig) else list(cfg)
+    if not configs:
+        raise ValueError("need at least one TrainConfig")
+    first = configs[0]
+    if any(replace(c, seed=first.seed) != first for c in configs):
+        raise ValueError("configs trained as one stack may differ in seed only")
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y)
     val_x = np.asarray(val_x, dtype=np.float64)
@@ -258,50 +310,63 @@ def train(train_x, train_y, val_x, val_y, cfg: TrainConfig):
     if train_x.shape[0] == 0:
         raise ValueError("training set is empty")
 
-    flat, params = pack_network(init_network(cfg.layer_sizes, cfg.seed, cfg.loss_kind))
+    seeds = [c.seed for c in configs]
+    nets = [init_network(first.layer_sizes, seed, first.loss_kind) for seed in seeds]
+    flat, params = pack_network(nets[0], copies=len(nets))
+    for row, net in zip(flat, nets):
+        row[...] = pack_network(net)[0]
     grad = np.empty_like(flat)
-    n_weights = sum(w.size for w in params.weights)
-    history = TrainHistory()
-    loss_fn = _LOSS_FNS[cfg.loss_kind]
-    loss_cfg = replace(cfg.loss, total_epochs=max(cfg.epochs, 1))
-
-    opt = _Adam(flat, cfg.learning_rate) if cfg.optimizer == "adam" else _Sgd(flat, cfg.learning_rate)
+    n_weights = sum(w.size for w in nets[0].weights)
+    histories = [TrainHistory() for _ in configs]
+    loss_fn = _LOSS_FNS[first.loss_kind]
+    loss_cfg = replace(first.loss, total_epochs=max(first.epochs, 1))
+    opt_cls = _Adam if first.optimizer == "adam" else _Sgd
+    opts = [opt_cls(row, first.learning_rate) for row in flat]
 
     n, d = train_x.shape
-    vacuous = cfg.loss_kind == "dappr"
+    vacuous = first.loss_kind == "dappr"
     if vacuous:
         centre, scale = background_law(train_x)
-    best = None
-    best_acc = -1.0
-    for epoch in range(cfg.epochs):
-        perm = np.random.default_rng([cfg.seed, 1, epoch]).permutation(n)
+    best = [None] * len(configs)
+    best_acc = [-1.0] * len(configs)
+    for epoch in range(first.epochs):
+        perms = np.stack([np.random.default_rng([seed, 1, epoch]).permutation(n)
+                          for seed in seeds])
         if vacuous:
-            background = centre + scale * np.random.default_rng(
-                [cfg.seed, 2, epoch]).standard_normal((n, d))
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            out, grads_w, grads_b = _step_gradients(
+            background = np.stack([
+                centre + scale * np.random.default_rng([seed, 2, epoch]).standard_normal((n, d))
+                for seed in seeds])
+        epoch_loss = [0.0] * len(configs)
+        for start in range(0, n, first.batch_size):
+            idx = perms[:, start:start + first.batch_size]
+            outs, grads_w, grads_b = _step_gradients(
                 params, train_x[idx], train_y[idx], loss_fn, loss_cfg, epoch,
-                background[start:start + idx.size] if vacuous else None)
+                background[:, start:start + idx.shape[1]] if vacuous else None)
             flat_gradient(grads_w, grads_b, grad)
-            if cfg.weight_decay > 0.0:
-                grad[:n_weights] += cfg.weight_decay * flat[:n_weights]
-            opt.step(flat, grad)
-            epoch_loss += out.value * idx.size
-        history.train_loss.append(epoch_loss / n)
+            if first.weight_decay > 0.0:
+                grad[:, :n_weights] += first.weight_decay * flat[:, :n_weights]
+            for s, (opt, out) in enumerate(zip(opts, outs)):
+                opt.step(flat[s], grad[s])
+                epoch_loss[s] += out.value * idx.shape[1]
 
         logits = forward(params, val_x)
-        acc = float(np.mean(np.argmax(logits, axis=1) == val_y)) if val_y.size else 0.0
-        history.val_accuracy.append(acc)
-        history.val_mean_alpha0.append(float(np.mean(np.sum(softplus(logits) + 1.0, axis=1))) if val_y.size else 0.0)
-        if cfg.early_stopping and acc > best_acc:
-            best_acc = acc
-            best = flat.copy()
+        for s, history in enumerate(histories):
+            history.train_loss.append(epoch_loss[s] / n)
+            acc = float(np.mean(np.argmax(logits[s], axis=1) == val_y)) if val_y.size else 0.0
+            history.val_accuracy.append(acc)
+            history.val_mean_alpha0.append(
+                float(np.mean(np.sum(softplus(logits[s]) + 1.0, axis=1)))
+                if val_y.size else 0.0)
+            if first.early_stopping and acc > best_acc[s]:
+                best_acc[s] = acc
+                best[s] = flat[s].copy()
 
-    if cfg.early_stopping and best is not None:
-        flat[...] = best
-    return params, history
+    for row, snapshot in zip(flat, best):
+        if snapshot is not None:
+            row[...] = snapshot
+    results = [(replace(network_slice(params, s), seed=seed), history)
+               for s, (seed, history) in enumerate(zip(seeds, histories))]
+    return results[0] if isinstance(cfg, TrainConfig) else results
 
 
 def predict_labels(params: NetworkParams, x) -> np.ndarray:

@@ -292,6 +292,25 @@ def test_vacuous_penalty_input_validation():
         vacuous_evidence_penalty(np.zeros(3))
     with pytest.raises(ValueError):
         vacuous_evidence_penalty(np.array([[np.nan, 0.0]]))
+    with pytest.raises(ValueError):
+        vacuous_evidence_penalty(np.zeros((2, 0, 3)))  # a stack of empty batches
+    with pytest.raises(ValueError):
+        vacuous_evidence_penalty(np.array([[[0.0, 0.0]], [[0.0, np.inf]]]))
+
+
+def test_stacked_vacuous_penalty_equals_each_batch_alone():
+    # training scores every network's background rows in one call; a
+    # non-contiguous stack, as a slice of the step's logits, included
+    rng = np.random.default_rng(8)
+    logits = rng.normal(0.0, 3.0, size=(4, 2 * 7, 3))
+    stack = logits[:, 7:]
+    values, grad = vacuous_evidence_penalty(stack)
+    assert values.shape == (4,) and grad.shape == stack.shape
+    for s in range(4):
+        value_s, grad_s = vacuous_evidence_penalty(stack[s].copy())
+        assert type(value_s) is float
+        assert values[s] == value_s
+        assert np.array_equal(grad[s], grad_s)
 
 
 # ---------------------------------------------------------------------------

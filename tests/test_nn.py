@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dappr import gradcheck
+from dappr import gradcheck, nn
 from dappr.datasets import gaussian_blobs, two_moons
 from dappr import loss
 from dappr.loss import LossConfig, cross_entropy_loss, dappr_loss, softplus
@@ -96,10 +96,11 @@ def test_forward_equals_plain_layer_loop_bit_for_bit(copies):
     arrays = [x] + params.weights + params.biases
     before = [a.tobytes() for a in arrays]
     want = _plain_layers(params, x)
-    pre, acts = _forward_cached(params, x)
-    assert all(np.array_equal(a, b) for a, b in zip(pre, want))
-    assert all(np.array_equal(a, np.maximum(b, 0.0)) for a, b in zip(acts[1:-1], want))
-    assert acts[0] is x and acts[-1] is pre[-1]
+    acts = _forward_cached(params, x)
+    # the cache keeps each layer's output only: relu'd hidden layers, raw logits
+    assert acts[0] is x and len(acts) == len(want) + 1
+    assert all(np.array_equal(a, np.maximum(b, 0.0)) for a, b in zip(acts[1:-1], want[:-1]))
+    assert np.array_equal(acts[-1], want[-1])
     assert np.array_equal(forward(params, x), want[-1])
     assert [a.tobytes() for a in arrays] == before
 
@@ -138,16 +139,16 @@ def test_end_to_end_gradients_match_fd(loss_kind, sizes):
 
     from dappr.nn import _forward_cached, backward
 
-    pre, acts = _forward_cached(params, x)
+    acts = _forward_cached(params, x)
     if loss_kind == "dappr":
-        out = dappr_loss(pre[-1], labels, cfg, 0)
+        out = dappr_loss(acts[-1], labels, cfg, 0)
         fd = gradcheck.step_fd_gradient(params, x, labels, cfg)
     else:
-        out = cross_entropy_loss(pre[-1], labels, cfg, 0)
+        out = cross_entropy_loss(acts[-1], labels, cfg, 0)
         fd = gradcheck.network_fd_gradient(
             params, x, lambda logits: cross_entropy_loss(logits, labels, cfg, 0).value)
 
-    grads_w, grads_b = backward(params, pre, acts, out.grad_logits)
+    grads_w, grads_b = backward(params, acts, out.grad_logits)
     analytic = flat_gradient(grads_w, grads_b)
     assert gradcheck.relative_error(analytic, fd) < 1e-4
 
@@ -161,12 +162,14 @@ def test_training_step_with_background_matches_fd(sizes):
     labels = rng.integers(0, sizes[-1], size=6)
     cfg = LossConfig(lam=2e-3)
 
-    out, grads_w, grads_b = _step_gradients(params, x, labels, dappr_loss, cfg, 0,
-                                            background)
+    # training's step on a stack of one network
+    _, stack = pack_network(params, copies=1)
+    [out], grads_w, grads_b = _step_gradients(stack, x[None], labels[None], dappr_loss,
+                                              cfg, 0, background[None])
     data_logits = forward(params, x)
     assert out.value == pytest.approx(dappr_loss(data_logits, labels, cfg, 0).value,
                                       rel=1e-12)
-    analytic = flat_gradient(grads_w, grads_b)
+    analytic = flat_gradient(grads_w, grads_b)[0]
     fd = gradcheck.step_fd_gradient(params, x, labels, cfg, background)
     assert gradcheck.relative_error(analytic, fd) < 1e-4
 
@@ -215,9 +218,9 @@ def test_relu_blocks_gradient_through_dead_units():
     from dappr.nn import _forward_cached, backward
 
     x = np.array([[0.5]])
-    pre, acts = _forward_cached(p, x)
-    out = cross_entropy_loss(pre[-1], np.array([0]), None, 0)
-    grads_w, grads_b = backward(p, pre, acts, out.grad_logits)
+    acts = _forward_cached(p, x)
+    out = cross_entropy_loss(acts[-1], np.array([0]), None, 0)
+    grads_w, grads_b = backward(p, acts, out.grad_logits)
     assert grads_w[0][0, 1] == 0.0  # into the dead unit
     assert grads_b[0][1] == 0.0
     assert grads_w[1][1, 0] == 0.0 and grads_w[1][1, 1] == 0.0  # out of it
@@ -264,18 +267,45 @@ def test_pack_network_views_one_buffer(copies):
 
 @pytest.mark.parametrize("copies", [None, 3])
 def test_flat_gradient_order_matches_parameter_views(copies):
+    # row s of a stack's buffer, and of its gradient, is network s laid out
+    # as one network: every view of it is one contiguous run of that row
     rng = np.random.default_rng(4)
     flat, net = pack_network(init_network((2, 8, 8, 3), seed=1), copies=copies)
     x = rng.normal(size=(7, 2))
-    pre, acts = _forward_cached(net, x)
-    grads_w, grads_b = backward(net, pre, acts, rng.normal(size=pre[-1].shape))
+    acts = _forward_cached(net, x)
+    grads_w, grads_b = backward(net, acts, rng.normal(size=acts[-1].shape))
     grad = flat_gradient(grads_w, grads_b, np.empty_like(flat))
-    covered = 0
-    for view, g in zip(net.weights + net.biases, grads_w + grads_b):
-        at = _offset(view, flat)
-        assert np.array_equal(grad[at:at + view.size], g.reshape(-1))
-        covered += view.size
-    assert covered == flat.size
+    assert grad.shape == flat.shape
+    for s in range(copies or 1):
+        if copies is None:
+            row, grad_row, one, grads = flat, grad, net, grads_w + grads_b
+        else:
+            row, grad_row, one = flat[s], grad[s], network_slice(net, s)
+            grads = [g[s] for g in grads_w + grads_b]
+        covered = 0
+        for view, g in zip(one.weights + one.biases, grads):
+            at = _offset(view, row)
+            assert view.flags.c_contiguous
+            assert np.array_equal(grad_row[at:at + view.size], g.reshape(-1))
+            covered += view.size
+        assert covered == row.size
+
+
+def test_stack_buffer_is_model_major():
+    rng = np.random.default_rng(5)
+    nets = [init_network((3, 16, 8, 4), seed=s) for s in range(3)]
+    for net in nets:
+        net.biases = [rng.normal(size=b.shape) for b in net.biases]
+    flat, stack = _stack(nets)
+    assert flat.shape == (3, pack_network(nets[0])[0].size)
+    for s, net in enumerate(nets):
+        assert np.array_equal(flat[s], pack_network(net)[0])
+    grads_w = [rng.normal(size=w.shape) for w in stack.weights]
+    grads_b = [rng.normal(size=(3, b.shape[-1])) for b in stack.biases]
+    grad = flat_gradient(grads_w, grads_b)
+    for s in range(3):
+        assert np.array_equal(grad[s], flat_gradient([g[s] for g in grads_w],
+                                                     [g[s] for g in grads_b]))
 
 
 @pytest.mark.parametrize("copies", [None, 2])
@@ -322,22 +352,96 @@ def test_stacked_network_equals_each_network_alone(batch):
     _, stack = _stack(nets)
     x = rng.normal(size=(batch, 2))
     grad_logits = rng.normal(size=(3, batch, 3))
-    pre, acts = _forward_cached(stack, x)
-    grads_w, grads_b = backward(stack, pre, acts, grad_logits)
+    acts = _forward_cached(stack, x)
+    grads_w, grads_b = backward(stack, acts, grad_logits)
     assert [g.shape for g in grads_w] == [(3, 2, 32), (3, 32, 32), (3, 32, 3)]
     assert [g.shape for g in grads_b] == [(3, 32), (3, 32), (3, 3)]
     for s, net in enumerate(nets):
-        pre_s, acts_s = _forward_cached(net, x)
-        gw_s, gb_s = backward(net, pre_s, acts_s, grad_logits[s])
-        assert all(np.array_equal(a[s], b) for a, b in zip(pre, pre_s))
+        acts_s = _forward_cached(net, x)
+        gw_s, gb_s = backward(net, acts_s, grad_logits[s])
         assert all(np.array_equal(a[s], b) for a, b in zip(acts[1:], acts_s[1:]))
         assert all(np.array_equal(a[s], b) for a, b in zip(grads_w, gw_s))
         assert all(np.array_equal(a[s], b) for a, b in zip(grads_b, gb_s))
-        assert np.array_equal(forward(network_slice(stack, s), x), pre_s[-1])
+        assert np.array_equal(forward(network_slice(stack, s), x), acts_s[-1])
 
 
 # ---------------------------------------------------------------------------
 # training behavior
+
+
+def _assert_same_training(got, want):
+    (p, h), (q, g) = got, want
+    assert p.seed == q.seed and p.loss_kind == q.loss_kind
+    assert all(np.array_equal(a, b) for a, b in zip(p.weights + p.biases,
+                                                    q.weights + q.biases))
+    assert h.train_loss == g.train_loss
+    assert h.val_accuracy == g.val_accuracy
+    assert h.val_mean_alpha0 == g.val_mean_alpha0
+
+
+def _moons_split():
+    ds = two_moons(240, 0.25, seed=3)
+    perm = np.random.default_rng(0).permutation(ds.n)
+    tr, va = perm[:180], perm[180:]
+    return ds.features[tr], ds.labels[tr], ds.features[va], ds.labels[va]
+
+
+STACK_CASES = {
+    # dappr with its background rows; 96 rows at batch 20 end on a short batch
+    "dappr": (_blob_split, dict(layer_sizes=(2, 16, 8, 3), epochs=4, batch_size=20)),
+    "cross_entropy": (_blob_split, dict(layer_sizes=(2, 16, 3), epochs=4, batch_size=20,
+                                        loss_kind="cross_entropy")),
+    # the three seeds' best validation epochs are 6, 7 and 4 of 12
+    "sgd_decay_early_stopping": (_moons_split, dict(
+        layer_sizes=(2, 16, 2), epochs=12, batch_size=16, optimizer="sgd",
+        learning_rate=0.2, loss_kind="cross_entropy", weight_decay=1e-2,
+        early_stopping=True)),
+}
+
+
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_stacked_configs_train_as_each_config_alone(case):
+    split, spec = STACK_CASES[case]
+    data = split()
+    configs = [TrainConfig(seed=seed, **spec) for seed in (2, 3, 4)]
+    stacked = train(*data, configs)
+    assert len(stacked) == len(configs)
+    for cfg, got in zip(configs, stacked):
+        _assert_same_training(got, train(*data, cfg))
+    if spec.get("early_stopping"):
+        best = [int(np.argmax(h.val_accuracy)) for _, h in stacked]
+        assert len(set(best)) == len(best) and max(best) < spec["epochs"] - 1
+
+
+def test_stacked_step_calls_loss_and_optimizer_once_per_network(monkeypatch):
+    tx, ty, vx, vy = _blob_split()  # 96 rows at batch 20: 5 steps per epoch
+    counts = {"loss": 0, "optim_step": 0, "backward": 0}
+    real_loss, real_step, real_backward = dappr_loss, _Adam.step, nn.backward
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setitem(nn._LOSS_FNS, "dappr", counted("loss", real_loss))
+    monkeypatch.setattr(_Adam, "step", counted("optim_step", real_step))
+    monkeypatch.setattr(nn, "backward", counted("backward", real_backward))
+    cfg = TrainConfig(layer_sizes=(2, 8, 3), epochs=2, batch_size=20, seed=1)
+    train(tx, ty, vx, vy, [replace(cfg, seed=seed) for seed in (1, 2, 3)])
+    assert counts == {"loss": 3 * 10, "optim_step": 3 * 10, "backward": 10}
+
+
+def test_stacked_configs_must_differ_in_seed_only():
+    tx, ty, vx, vy = _blob_split()
+    cfg = TrainConfig(layer_sizes=(2, 8, 3), epochs=1, batch_size=16, seed=1)
+    for other in (replace(cfg, seed=2, epochs=2), replace(cfg, seed=2, learning_rate=1e-2),
+                  replace(cfg, seed=2, loss=LossConfig(lam=0.0)),
+                  replace(cfg, seed=2, loss_kind="cross_entropy")):
+        with pytest.raises(ValueError, match="seed only"):
+            train(tx, ty, vx, vy, [cfg, other])
+    with pytest.raises(ValueError, match="at least one"):
+        train(tx, ty, vx, vy, [])
 
 
 def test_training_is_bit_deterministic():
@@ -427,10 +531,10 @@ def _plain_cross_entropy_training(tx, ty, cfg):
         perm = np.random.default_rng([cfg.seed, 1, epoch]).permutation(tx.shape[0])
         for start in range(0, tx.shape[0], cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            pre, acts = _forward_cached(ref, tx[idx])
-            out = cross_entropy_loss(pre[-1], ty[idx], LossConfig(total_epochs=cfg.epochs),
+            acts = _forward_cached(ref, tx[idx])
+            out = cross_entropy_loss(acts[-1], ty[idx], LossConfig(total_epochs=cfg.epochs),
                                      epoch)
-            grads_w, grads_b = backward(ref, pre, acts, out.grad_logits)
+            grads_w, grads_b = backward(ref, acts, out.grad_logits)
             for w, gw in zip(ref.weights, grads_w):
                 gw += cfg.weight_decay * w
             opt.step(flat, flat_gradient(grads_w, grads_b, grad))
@@ -466,22 +570,16 @@ def test_history_lengths_match_epochs():
 
 
 def test_early_stopping_returns_best_validation_snapshot():
-    ds = two_moons(240, 0.25, seed=3)
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(ds.n)
-    tr, va = perm[:180], perm[180:]
+    tx, ty, vx, vy = _moons_split()
     cfg = TrainConfig(layer_sizes=(2, 16, 2), epochs=12, batch_size=16, seed=2,
                       early_stopping=True)
-    p, h = train(ds.features[tr], ds.labels[tr], ds.features[va], ds.labels[va], cfg)
-    got = float(np.mean(predict_labels(p, ds.features[va]) == ds.labels[va]))
+    p, h = train(tx, ty, vx, vy, cfg)
+    got = float(np.mean(predict_labels(p, vx) == vy))
     assert got == pytest.approx(max(h.val_accuracy), abs=1e-12)
 
 
 def test_early_stopping_restores_the_best_epoch_weights():
-    ds = two_moons(240, 0.25, seed=3)
-    perm = np.random.default_rng(0).permutation(ds.n)
-    tr, va = perm[:180], perm[180:]
-    data = (ds.features[tr], ds.labels[tr], ds.features[va], ds.labels[va])
+    data = _moons_split()
     cfg = TrainConfig(layer_sizes=(2, 16, 2), epochs=12, batch_size=16, seed=2,
                       learning_rate=1e-2, early_stopping=True)
     p, h = train(*data, cfg)
