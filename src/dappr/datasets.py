@@ -39,7 +39,7 @@ class LabeledDataset:
             raise ValueError("features must be finite")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise ValueError("labels must be a vector matching the feature rows")
-        if not np.issubdtype(y.dtype, np.integer):
+        if y.dtype.kind not in "iu":
             raise ValueError("labels must be integers")
         y = y.astype(np.int64)
         if y.size and y.min() < 0:

@@ -115,7 +115,7 @@ def one_hot(labels, k: int) -> np.ndarray:
     y = np.asarray(labels)
     if y.ndim != 1:
         raise ValueError(f"labels must be a 1-d vector, got shape {y.shape}")
-    if not np.issubdtype(y.dtype, np.integer):
+    if y.dtype.kind not in "iu":
         raise ValueError("labels must be integers")
     if y.size and (y.min() < 0 or y.max() >= k):
         raise ValueError(f"labels must lie in [0, {k}), got {y}")
@@ -154,7 +154,7 @@ def multi_observation_maximiser(d: DirichletParams, ys) -> SimplexPoint:
     labels = np.asarray(ys)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("need at least one observation")
-    if not np.issubdtype(labels.dtype, np.integer):
+    if labels.dtype.kind not in "iu":
         raise ValueError("labels must be integers")
     if np.any(labels < 0) or np.any(labels >= d.k):
         raise ValueError(f"labels must lie in [0, {d.k})")

@@ -18,6 +18,11 @@ vacuous Dirichlet (alpha = 1) there, in the same forward/backward pass as
 the data rows.  Without it a relu network's evidence keeps growing along
 every ray leaving the data (Hein et al., CVPR 2019); with it, inputs the
 data do not constrain get alpha0 near K.
+
+``forward`` scores rows in fixed-size blocks through the same layer loop
+that training uses, so its peak memory is one block's layers plus the
+logits, whatever the number of rows.  Inputs larger than one block can
+differ from one whole-matrix pass in the last bits of the matmuls.
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ LOSS_KINDS = ("dappr", "cross_entropy")
 # mean whose per-feature std is this multiple of the training std.  Twice the
 # std puts most draws off the data while still covering the near field.
 BACKGROUND_SCALE = 2.0
+# Rows per block of forward's layer loop.  A block's widest layer (4096 x 32
+# float64, 1 MB) stays in cache, and forward's peak memory is set by the
+# block, not by the input.  Every batch the shipped configs train on or
+# score fits in one block, so their outputs keep their bits.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(eq=False)
@@ -165,13 +175,26 @@ def _forward_cached(params: NetworkParams, x: np.ndarray) -> list[np.ndarray]:
 
 
 def forward(params: NetworkParams, x) -> np.ndarray:
-    """Logits for a batch of feature rows."""
+    """Logits for a batch of feature rows, (n, K), or (S, n, K) for a stack.
+
+    _forward_cached runs on consecutive blocks of _BLOCK_ROWS rows and
+    each block's logits go into one preallocated output, so only one
+    block's layers are alive at a time.  Up to one block the logits are
+    _forward_cached's bit for bit; a larger input can differ from one
+    whole-matrix pass in the last bits, because BLAS picks its kernel by
+    matrix size.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
         raise ValueError(
             f"expected inputs of shape (batch, {params.layer_sizes[0]}), got {x.shape}"
         )
-    return _forward_cached(params, x)[-1]
+    n = x.shape[0]
+    out = np.empty(params.weights[-1].shape[:-2] + (n, params.layer_sizes[-1]))
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        out[..., rows, :] = _forward_cached(params, x[rows])[-1]
+    return out
 
 
 def backward(params: NetworkParams, acts, grad_logits):

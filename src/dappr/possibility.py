@@ -300,7 +300,7 @@ def pushforward_possibility(
     idx = np.asarray(mapping)
     if idx.ndim != 1 or idx.size != f.domain_size:
         raise ValueError("mapping must assign one codomain index per domain element")
-    if not np.issubdtype(idx.dtype, np.integer):
+    if idx.dtype.kind not in "iu":
         raise ValueError("mapping must be integer-valued")
     if codomain_size < 1:
         raise ValueError("codomain must be non-empty")

@@ -94,6 +94,11 @@ def test_two_moons_validation_and_determinism():
     assert np.array_equal(a.features, b.features)
 
 
+def test_dataset_rejects_timedelta_labels():
+    with pytest.raises(ValueError, match="integers"):
+        LabeledDataset(np.zeros((2, 2)), np.array([0, 1], dtype="m8[s]"), 2)
+
+
 def test_long_tail_counts():
     base = gaussian_blobs(2, 100, 2, 1.0, seed=0)
     tailed = long_tail_resample(base, 0.1, seed=1)

@@ -403,6 +403,46 @@ def test_evaluate_seed_scores_each_row_set_once_through_the_layer_loop(
     assert set(result["ood"]) == {"uniform_box"}
 
 
+@pytest.mark.parametrize("loss_kind", ["dappr", "cross_entropy"])
+def test_evaluate_seed_scores_rows_larger_than_a_block_with_the_same_calls(
+        monkeypatch, loss_kind):
+    # row sets of more than one forward block keep evaluate_seed's calls:
+    # model_uncertainties once per row set on the caller's own arrays, three
+    # forwards, and each forward runs the layer loop once per block
+    block = nn._BLOCK_ROWS
+    params = nn.init_network((2, 8, 3), seed=1, loss_kind=loss_kind)
+    test = gaussian_blobs(3, block // 3 + 1, 2, 1.0, 5)
+    box = np.random.default_rng(6).uniform(-8.0, 8.0, size=(2 * block + 5, 2))
+    scored, forwards, layer_loops = [], [], []
+    original_scores = harness.model_uncertainties
+    original_forward = harness.forward
+    original_loop = nn._forward_cached
+
+    def capture(params, x):
+        scored.append(x)
+        return original_scores(params, x)
+
+    def counted_forward(params, x):
+        before = len(layer_loops)
+        logits = original_forward(params, x)
+        forwards.append((x.shape[0], len(layer_loops) - before))
+        return logits
+
+    def counted_loop(params, x):
+        layer_loops.append(x)
+        return original_loop(params, x)
+
+    monkeypatch.setattr(harness, "model_uncertainties", capture)
+    monkeypatch.setattr(harness, "forward", counted_forward)
+    monkeypatch.setattr(nn, "_forward_cached", counted_loop)
+    result, _ = harness.evaluate_seed(params, test, {"uniform_box": box})
+    assert test.n > block
+    assert [id(x) for x in scored] == [id(test.features), id(box)]
+    assert [n for n, _ in forwards] == [test.n, test.n, box.shape[0]]
+    assert [loops for _, loops in forwards] == [math.ceil(n / block) for n, _ in forwards]
+    assert set(result["ood"]) == {"uniform_box"}
+
+
 # ---------------------------------------------------------------------------
 # verification gate
 

@@ -74,6 +74,11 @@ def test_one_hot():
         one_hot(np.array([3]), 3)
 
 
+def test_one_hot_rejects_timedelta_labels():
+    with pytest.raises(ValueError, match="integers"):
+        one_hot(np.array([2, 0], dtype="m8[s]"), 3)
+
+
 # ---------------------------------------------------------------------------
 # inner maximiser
 
@@ -114,6 +119,12 @@ def test_multi_observation_validity():
     d = DirichletParams(np.array([2.0, 1.5]))
     with pytest.raises(MaximiserValidityError):
         multi_observation_maximiser(d, [0, 0])  # alpha_0 = 2 <= count 2
+
+
+def test_multi_observation_rejects_timedelta_labels():
+    d = DirichletParams(np.array([4.0, 3.0, 2.0]))
+    with pytest.raises(ValueError, match="integers"):
+        multi_observation_maximiser(d, np.array([0, 1], dtype="m8[s]"))
 
 
 def test_closed_form_agrees_with_grid_search():

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -103,6 +105,54 @@ def test_forward_equals_plain_layer_loop_bit_for_bit(copies):
     assert np.array_equal(acts[-1], want[-1])
     assert np.array_equal(forward(params, x), want[-1])
     assert [a.tobytes() for a in arrays] == before
+
+
+BLOCK = nn._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("copies", [None, 3])
+@pytest.mark.parametrize("n", [0, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_forward_runs_the_layer_loop_block_by_block(monkeypatch, copies, n):
+    # each block of rows goes through _forward_cached alone, so the logits are
+    # the blocks' logits joined, bit for bit, and the whole-matrix loop's up
+    # to BLAS rounding
+    rng = np.random.default_rng(65)
+    nets = [init_network((2, 32, 32, 3), seed=s) for s in range(copies or 1)]
+    for net in nets:
+        net.biases = [rng.normal(size=b.shape) for b in net.biases]
+    params = nets[0] if copies is None else _stack(nets)[1]
+    x = rng.normal(0.0, 3.0, size=(n, 2))
+    arrays = [x] + params.weights + params.biases
+    before = [a.tobytes() for a in arrays]
+    plain = _plain_layers(params, x)[-1]
+    blocks = [_forward_cached(params, x[i:i + BLOCK])[-1] for i in range(0, n, BLOCK)]
+    calls = []
+
+    def counted_loop(params, x):
+        calls.append(x.shape[0])
+        return _forward_cached(params, x)
+
+    monkeypatch.setattr(nn, "_forward_cached", counted_loop)
+    got = forward(params, x)
+    assert len(calls) == math.ceil(n / BLOCK)
+    assert calls == [min(BLOCK, n - i) for i in range(0, n, BLOCK)]
+    assert got.shape == plain.shape
+    assert np.array_equal(got, np.concatenate(blocks, axis=-2) if blocks else plain)
+    assert np.allclose(got, plain, rtol=0.0, atol=1e-12)
+    assert [a.tobytes() for a in arrays] == before
+
+
+def test_forward_peak_memory_is_set_by_the_block_not_the_input():
+    # the output, plus at most four blocks of the widest layer alive at once
+    params = init_network((2, 32, 32, 3), seed=0)
+    x = np.random.default_rng(66).normal(size=(8 * BLOCK, 2))
+    tracemalloc.start()
+    try:
+        out = forward(params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 4 * BLOCK * max(params.layer_sizes) * 8
 
 
 def test_forward_rejects_wrong_width():

@@ -195,6 +195,12 @@ def test_pushforward_empty_preimage_is_zero():
     assert out.values[0] == 0.0 and out.values[1] == 0.0 and out.values[2] == 1.0
 
 
+def test_pushforward_rejects_timedelta_mapping():
+    f = PossibilityTable(np.array([0.3, 1.0, 0.6]))
+    with pytest.raises(ValueError, match="integer"):
+        pushforward_possibility(f, np.array([0, 0, 1], dtype="m8[s]"), 2)
+
+
 def test_divergence_zero_iff_dominated():
     f = PossibilityTable(np.array([0.5, 1.0, 0.25]))
     g = PossibilityTable(np.array([0.5, 1.0, 0.5]))
