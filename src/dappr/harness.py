@@ -35,7 +35,7 @@ from .metrics import (aleatoric_uncertainty, aupr, auroc, ece,
 from .nn import (NetworkParams, TrainConfig, _Adam, _forward_cached, backward,
                  flat_gradient, forward, init_network, load_checkpoint,
                  network_slice, pack_network, save_checkpoint, train)
-from .possibility import (DirichletParams, SimplexPoint,
+from .possibility import (DirichletParams, SimplexPoint, _over_classes,
                           dirichlet_possibility, log_dirichlet_possibility,
                           simplex_grid)
 
@@ -303,7 +303,7 @@ def model_uncertainties(params: NetworkParams, x: np.ndarray):
         alea = aleatoric_uncertainty(d)
         return alea, epistemic_uncertainty(d), 1.0 - alea, d.alpha0
     probs = SimplexPoint(softmax(logits))
-    conf = probs.probs.max(axis=1)
+    conf = _over_classes(np.maximum, probs.probs)
     return 1.0 - conf, softmax_entropy(probs), conf, d.alpha0
 
 

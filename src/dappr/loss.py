@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaximiserValidityError
-from .possibility import DirichletParams, SimplexPoint, _require_single
+from .possibility import DirichletParams, SimplexPoint, _over_classes, _require_single
 
 SCHEDULES = ("constant", "warmup", "linear")
 WARMUP_EPOCHS = 10
@@ -90,9 +90,9 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a (..., K) logit array, shift-stabilised."""
-    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted = z - _over_classes(np.maximum, z)[..., None]
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / _over_classes(np.add, e)[..., None]
 
 
 def softplus_plus_one(logits) -> DirichletParams:

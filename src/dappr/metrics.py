@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAlphaError, MetricUndefinedError
-from .possibility import DirichletParams, SimplexPoint, _row_value
+from .possibility import DirichletParams, SimplexPoint, _over_classes, _row_value
 
 log = logging.getLogger("dappr")
 
@@ -37,7 +37,7 @@ def aleatoric_uncertainty(d: DirichletParams):
     """
     if np.any(d.alpha0 == 0.0):
         raise DegenerateAlphaError("aleatoric uncertainty undefined for alpha0 == 0")
-    return _row_value(1.0 - d.alpha.max(axis=-1) / d.alpha0)
+    return _row_value(1.0 - _over_classes(np.maximum, d.alpha) / d.alpha0)
 
 
 def epistemic_uncertainty(d: DirichletParams):
@@ -56,7 +56,7 @@ def softmax_entropy(p: SimplexPoint):
     probs = p.probs
     # log(1) = 0 in place of log(0) makes each p_k = 0 term exactly 0.
     terms = probs * np.log(np.where(probs > 0.0, probs, 1.0))
-    return _row_value(-terms.sum(axis=-1))
+    return _row_value(-_over_classes(np.add, terms))
 
 
 def _check_binary(labels, scores):
@@ -109,11 +109,16 @@ def auroc(labels, scores) -> float:
     return u / (n_pos * (n - n_pos))
 
 
-def _check_confidences(confidences, correct):
+def _check_confidences(confidences, correct, n_bins: int):
+    if n_bins < 1:
+        raise ValueError(f"need at least one bin, got n_bins={n_bins}")
     c = np.asarray(confidences, dtype=np.float64)
     ok = np.asarray(correct)
     if c.ndim != 1 or ok.ndim != 1 or c.size != ok.size:
         raise ValueError("confidences and correctness must be 1-d vectors of equal length")
+    # NaN slips past both range tests below and would land in no bin
+    if not np.isfinite(c).all():
+        raise ValueError("confidences must be finite")
     if c.size and (np.any(c < 0.0) or np.any(c > 1.0)):
         raise ValueError("confidences must lie in [0, 1]")
     if not ((ok == 0) | (ok == 1)).all():
@@ -127,7 +132,7 @@ def _bin_index(confidences: np.ndarray, n_bins: int) -> np.ndarray:
 
 def ece(confidences, correct, n_bins: int = ECE_BINS) -> float:
     """Expected calibration error over equal-width confidence bins."""
-    c, ok = _check_confidences(confidences, correct)
+    c, ok = _check_confidences(confidences, correct, n_bins)
     if c.size == 0:
         log.warning("ece: empty input, returning 0")
         return 0.0
@@ -173,7 +178,7 @@ class ReliabilityBins:
 
 def reliability_bins(confidences, correct, n_bins: int = ECE_BINS) -> ReliabilityBins:
     """Bin confidences on [0, 1] and summarise accuracy per bin."""
-    c, ok = _check_confidences(confidences, correct)
+    c, ok = _check_confidences(confidences, correct, n_bins)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     mean_conf = np.full(n_bins, np.nan)
     acc = np.full(n_bins, np.nan)

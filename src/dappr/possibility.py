@@ -24,6 +24,12 @@ deterministic mapping (supremum over pre-images), the maxitive
 pseudo-divergence, possibilistic posteriors from per-hypothesis losses, and a
 simplex-grid brute-force maximiser that serves as the oracle for the
 closed-form result in :mod:`dappr.loss`.
+
+Sums, maxima and ``any`` over the class axis of a batch go through
+``_over_classes``, which folds whole columns instead of reducing each short
+row in its own inner loop, and returns numpy's reduce bit for bit; the
+scoring functions of :mod:`dappr.metrics`, :mod:`dappr.loss` and
+:mod:`dappr.harness` use it too.
 """
 
 from __future__ import annotations
@@ -62,6 +68,26 @@ def _as_float_rows(x, name: str) -> np.ndarray:
     return arr
 
 
+def _over_classes(ufunc, rows):
+    """``ufunc.reduce(rows, axis=-1)``, bit for bit, for a (..., K) batch.
+
+    numpy reduces a short last axis with one length-K inner loop per row;
+    folding whole columns, ``out = ufunc(out, rows[..., j])``, makes K - 1
+    calls over the batch instead.  ``maximum`` and ``logical_or`` give the
+    same result in any order.  numpy adds fewer than 8 entries in sequence
+    from 0.0, which the fold repeats by starting from ``rows[..., 0] + 0.0``
+    (so an all ``-0.0`` row sums to ``+0.0``); from 8 entries on it adds with
+    eight partial sums, so ``add`` keeps numpy's reduce there.  A single
+    vector keeps numpy's reduce too: folding it costs K calls on 0-d arrays.
+    """
+    if rows.ndim < 2 or rows.shape[-1] == 0 or (ufunc is np.add and rows.shape[-1] >= 8):
+        return ufunc.reduce(rows, axis=-1)
+    out = rows[..., 0] + 0.0 if ufunc is np.add else rows[..., 0].copy()
+    for j in range(1, rows.shape[-1]):
+        ufunc(out, rows[..., j], out=out)
+    return out
+
+
 def _first_bad_row(rows: np.ndarray, bad: np.ndarray) -> np.ndarray | None:
     """The first row of a (..., K) array whose per-row flag is set, or None."""
     flat = bad.reshape(-1)
@@ -92,11 +118,12 @@ class SimplexPoint:
             raise ValueError("simplex points need at least 2 coordinates")
         if not np.isfinite(probs).all():
             raise ValueError("probabilities must be finite")
-        row = _first_bad_row(probs, ((probs < 0.0) | (probs > 1.0)).any(axis=-1))
+        outside = _over_classes(np.logical_or, (probs < 0.0) | (probs > 1.0))
+        row = _first_bad_row(probs, outside)
         if row is not None:
             raise ValueError(f"probabilities must lie in [0, 1], got {row}")
-        totals = probs.sum(axis=-1, keepdims=True)
-        row = _first_bad_row(totals, np.abs(totals[..., 0] - 1.0) > 1e-9)
+        totals = _over_classes(np.add, probs)
+        row = _first_bad_row(totals[..., None], np.abs(totals - 1.0) > 1e-9)
         if row is not None:
             raise ValueError(f"probabilities must sum to 1, got {float(row[0])!r}")
         probs.setflags(write=False)
@@ -124,11 +151,11 @@ class DirichletParams:
             raise ValueError("need at least 2 concentration entries")
         if not np.isfinite(alpha).all():
             raise ValueError("concentrations must be finite")
-        row = _first_bad_row(alpha, (alpha < 0.0).any(axis=-1))
+        row = _first_bad_row(alpha, _over_classes(np.logical_or, alpha < 0.0))
         if row is not None:
             raise ValueError(f"concentrations must be non-negative, got {row}")
         alpha.setflags(write=False)
-        alpha0 = _row_value(alpha.sum(axis=-1))
+        alpha0 = _row_value(_over_classes(np.add, alpha))
         if isinstance(alpha0, np.ndarray):
             alpha0.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
@@ -255,8 +282,8 @@ def log_dirichlet_possibility(d: DirichletParams, p: SimplexPoint):
     with np.errstate(divide="ignore", invalid="ignore"):
         mode = alpha / np.expand_dims(d.alpha0, -1)
         terms = alpha * np.log(probs / mode)
-        log_g = np.where(active, terms, 0.0).sum(axis=-1)
-    vanishing = (active & (probs == 0.0)).any(axis=-1)
+        log_g = _over_classes(np.add, np.where(active, terms, 0.0))
+    vanishing = _over_classes(np.logical_or, active & (probs == 0.0))
     return _row_value(np.where(vanishing, -math.inf, log_g))
 
 

@@ -144,6 +144,26 @@ class TextbookAdam:
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def row_uncertainties(logits, loss_kind):
+    """Per-row (aleatoric, epistemic, confidence, alpha0) from (n, K) logits.
+
+    The report's definitions with numpy's own ``sum``/``max`` over the class
+    axis: alpha = softplus(z) + 1 for both heads; K / alpha0 and
+    1 - max alpha / alpha0 for the concentration head; max softmax and the
+    softmax entropy (0 log 0 = 0) for the cross-entropy head.
+    """
+    alpha = np.logaddexp(0.0, logits) + 1.0
+    alpha0 = alpha.sum(axis=-1)
+    if loss_kind == "dappr":
+        aleatoric = 1.0 - alpha.max(axis=-1) / alpha0
+        return aleatoric, logits.shape[-1] / alpha0, 1.0 - aleatoric, alpha0
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    entropy = -(probs * np.log(np.where(probs > 0.0, probs, 1.0))).sum(axis=-1)
+    confidence = probs.max(axis=-1)
+    return 1.0 - confidence, entropy, confidence, alpha0
+
+
 def _relu_forward(weights, biases, x):
     """Pre-activations and activations of a relu MLP with an identity output."""
     pre, acts = [], [x]

@@ -33,7 +33,7 @@ from dappr.harness import (
     train_config,
 )
 from dappr.nn import forward, train
-from oracles import soft_label_finetune, total_cross_entropy
+from oracles import row_uncertainties, soft_label_finetune, total_cross_entropy
 
 
 def tiny_config(tmp_path, **overrides):
@@ -441,6 +441,24 @@ def test_evaluate_seed_scores_rows_larger_than_a_block_with_the_same_calls(
     assert [n for n, _ in forwards] == [test.n, test.n, box.shape[0]]
     assert [loops for _, loops in forwards] == [math.ceil(n / block) for n, _ in forwards]
     assert set(result["ood"]) == {"uniform_box"}
+
+
+@pytest.mark.parametrize("k", [3, 10])
+@pytest.mark.parametrize("loss_kind", ["dappr", "cross_entropy"])
+def test_model_uncertainties_equal_numpy_reductions_bit_for_bit(loss_kind, k):
+    # more than one forward block of rows, some far enough out that softmax
+    # underflows to exact zeros; every value is the plain numpy reduction's
+    block = nn._BLOCK_ROWS
+    params = nn.init_network((2, 16, k), seed=3, loss_kind=loss_kind)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(block + 37, 2)) * rng.choice([1.0, 40.0, 400.0], size=(block + 37, 1))
+    got = harness.model_uncertainties(params, x)
+    want = row_uncertainties(forward(params, x), loss_kind)
+    if loss_kind == "cross_entropy":
+        assert np.any(want[1] == 0.0)  # the 0 log 0 = 0 rows are reached
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (x.shape[0],)
+        assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------

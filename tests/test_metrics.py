@@ -153,6 +153,29 @@ def test_ece_validation():
         ece([0.5, 0.5], [1])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ece_rejects_non_finite_confidences(bad):
+    # a NaN row used to land in no bin yet count in the denominator: 0.05
+    with pytest.raises(ValueError, match="finite"):
+        ece([bad, 0.9], [1, 1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reliability_bins_rejects_non_finite_confidences(bad):
+    with pytest.raises(ValueError, match="finite"):
+        reliability_bins([bad, 0.9], [1, 1])
+
+
+@pytest.mark.parametrize("n_bins", [0, -3])
+def test_calibration_rejects_fewer_than_one_bin(n_bins):
+    with pytest.raises(ValueError, match="n_bins"):
+        ece([0.5, 0.9], [1, 0], n_bins=n_bins)
+    with pytest.raises(ValueError, match="n_bins"):
+        ece([], [], n_bins=n_bins)
+    with pytest.raises(ValueError, match="n_bins"):
+        reliability_bins([0.5, 0.9], [1, 0], n_bins=n_bins)
+
+
 def test_reliability_bins_shape_and_clamp():
     bins = reliability_bins([1.0, 0.0, 0.001], [1, 0, 0])
     assert bins.n_bins == ECE_BINS

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dappr.possibility import (
     DirichletParams,
     PossibilityTable,
     SimplexGrid,
     SimplexPoint,
+    _over_classes,
     default_grid_resolution,
     dirichlet_mode,
     dirichlet_possibility,
@@ -255,6 +256,50 @@ def test_grid_argmax_is_deterministic():
     a = grid_argmax_surrogate(d, 0, g)
     b = grid_argmax_surrogate(d, 0, g)
     assert np.array_equal(a.probs, b.probs)
+
+
+# ---------------------------------------------------------------------------
+# class-axis reductions
+
+_SPECIAL_ENTRIES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -2.5]
+
+
+@st.composite
+def class_axis_arrays(draw):
+    """A (K,), (n, K) or (S, n, K) float array in C or F order, K in 1..20.
+
+    Entries come from a short palette, so rows repeat signed zeros, NaN and
+    infinities; hypothesis still seldom draws a row of -0.0 alone, which the
+    test's explicit examples supply.
+    """
+    k = draw(st.integers(1, 20))
+    lead = draw(st.one_of(st.just(()), st.tuples(st.integers(0, 6)),
+                          st.tuples(st.integers(1, 3), st.integers(0, 6))))
+    palette = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_ENTRIES), st.floats()),
+                            min_size=1, max_size=4))
+    shape = lead + (k,)
+    picks = draw(st.lists(st.integers(0, len(palette) - 1),
+                          min_size=math.prod(shape), max_size=math.prod(shape)))
+    values = np.array(palette)[picks].reshape(shape)
+    return np.asarray(values, order=draw(st.sampled_from("CF")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([np.add, np.maximum, np.logical_or]), class_axis_arrays())
+@example(np.add, np.full((2, 3), -0.0))
+@example(np.add, np.full((2, 1), -0.0, order="F"))
+def test_over_classes_is_numpys_reduce(ufunc, rows):
+    if ufunc is np.logical_or:
+        rows = rows != 0.0
+    with np.errstate(all="ignore"):
+        got, want = _over_classes(ufunc, rows), ufunc.reduce(rows, axis=-1)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.array_equal(got, want, equal_nan=rows.dtype != bool)
+    if rows.dtype != bool:
+        # array_equal takes -0.0 == 0.0; an all -0.0 row must sum to +0.0
+        zero = np.asarray(want) == 0.0
+        assert np.array_equal(np.signbit(got)[zero], np.signbit(want)[zero])
 
 
 # ---------------------------------------------------------------------------
