@@ -16,7 +16,6 @@ from .errors import (CsvParseError, DapprError, DegenerateAlphaError,
 from .loss import (LossConfig, LossOutput, closed_form_maximiser,
                    cross_entropy_loss, dappr_loss, lambda_schedule,
                    multi_observation_maximiser, softplus_plus_one,
-                   spurious_evidence_regulariser, surrogate_log_possibility,
                    vacuous_evidence_penalty)
 from .metrics import (ReliabilityBins, aleatoric_uncertainty, aupr, auroc,
                       ece, epistemic_uncertainty, reliability_bins,
@@ -25,8 +24,7 @@ from .nn import (NetworkParams, TrainConfig, TrainHistory, background_law,
                  forward, init_network, load_checkpoint, predict_alpha,
                  predict_labels, save_checkpoint, train)
 from .possibility import (DirichletParams, PossibilityTable, SimplexGrid,
-                          SimplexPoint, default_grid_resolution,
-                          dirichlet_mode, dirichlet_possibility,
+                          SimplexPoint, dirichlet_mode, dirichlet_possibility,
                           grid_argmax_surrogate, log_dirichlet_possibility,
                           maxitive_divergence, possibilistic_posterior,
                           pushforward_possibility, simplex_grid)

@@ -158,9 +158,11 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 # the battery: one random case per call
 
 
-def closed_form_gap(rng, grid: SimplexGrid) -> float:
-    """L-inf gap between the closed-form maximiser and the grid argmax."""
-    d = DirichletParams(rng.uniform(1.05, 6.0, size=grid.k))
+def closed_form_gap(rng, grid: SimplexGrid,
+                    draw_alpha=lambda rng, k: rng.uniform(1.05, 6.0, size=k)) -> float:
+    """L-inf gap between the closed-form maximiser and the grid argmax, for
+    alpha from ``draw_alpha(rng, k)`` and then a label drawn from rng."""
+    d = DirichletParams(draw_alpha(rng, grid.k))
     y = int(rng.integers(grid.k))
     return float(np.max(np.abs(closed_form_maximiser(d, y).probs
                                - grid_argmax_surrogate(d, y, grid).probs)))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 import time
 import types
 import typing
@@ -27,14 +28,14 @@ from . import gradcheck
 from .datasets import (LabeledDataset, SplitSpec, gaussian_blobs, load_csv,
                        long_tail_resample, ood_generator, split,
                        stratified_subsample, two_moons)
-from .loss import (LossConfig, dappr_loss, one_hot, softmax,
+from .loss import (LossConfig, dappr_loss, log_softmax, one_hot, softmax,
                    softplus_plus_one)
 from .metrics import (aleatoric_uncertainty, aupr, auroc, ece,
                       epistemic_uncertainty, reliability_bins,
                       softmax_entropy)
 from .nn import (NetworkParams, TrainConfig, _Adam, _forward_cached, backward,
                  flat_gradient, forward, init_network, load_checkpoint,
-                 network_slice, pack_network, save_checkpoint, train)
+                 pack_network, save_checkpoint, train)
 from .possibility import (DirichletParams, SimplexPoint, _over_classes,
                           dirichlet_possibility, log_dirichlet_possibility,
                           simplex_grid)
@@ -116,6 +117,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
 
 
 _SECTION_TYPES = {
@@ -129,9 +132,9 @@ _SECTION_TYPES = {
 def _fits(value, hint) -> bool:
     """Whether a parsed config value matches a field's declared type.
 
-    JSON has one number type, so an int passes where a float is declared;
-    a bool passes only where a bool is.  Tuples arrive as tuples (lists are
-    converted first), element types checked.
+    JSON has one number type, so an int passes where a finite float is
+    declared; a bool passes only where a bool is.  Tuples arrive as tuples
+    (lists are converted first), element types checked.
     """
     args = typing.get_args(hint)
     origin = typing.get_origin(hint)
@@ -148,7 +151,8 @@ def _fits(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, (int, float))
+        # NaN, the infinities and ints beyond the float range all fail
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, hint)
 
 
@@ -308,8 +312,9 @@ def model_uncertainties(params: NetworkParams, x: np.ndarray):
 
 
 def evaluate_seed(params: NetworkParams, test: LabeledDataset,
-                  ood_sets: dict[str, np.ndarray]) -> dict:
-    """ID metrics plus OOD detection numbers for one trained model."""
+                  ood_sets: dict[str, np.ndarray]) -> tuple[dict, dict]:
+    """``(result, raw)``: one model's ID metrics and OOD detection numbers, and
+    the per-row arrays (confidences, correct, epistemic, alpha0) behind them."""
     logits = forward(params, test.features)
     predictions = np.argmax(logits, axis=1)
     correct = (predictions == test.labels).astype(np.int64)
@@ -654,13 +659,6 @@ def _soft_label_finetune(params: NetworkParams, rest_x, rest_y, forced_x,
     return tuned
 
 
-def _total_cross_entropy(params: NetworkParams, x, y) -> float:
-    logits = forward(params, x)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    return float(-np.sum(log_probs[np.arange(x.shape[0]), y]))
-
-
 @_runner("probe")
 def run_probe(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Leave-one-out sensitivity probe.
@@ -694,8 +692,8 @@ def run_probe(cfg: ExperimentConfig, outdir: Path) -> dict:
 
         tuned = _soft_label_finetune(base, rest_x, rest_y, forced_x, targets,
                                      cfg.probe, cfg.model.batch_size)
-        l_true, *l_soft = [_total_cross_entropy(network_slice(tuned, s), rest_x, rest_y)
-                           for s in range(targets.shape[0])]
+        l_true, *l_soft = [float(-np.sum(log_probs[np.arange(rest_y.size), rest_y]))
+                           for log_probs in log_softmax(forward(tuned, rest_x))]
         worst = max([0.0] + [abs(l_p - l_true) for l_p in l_soft])
         rows.append((int(x_idx), l_true, worst, worst / l_true))
 

@@ -28,7 +28,6 @@ sum_k softplus(z_k)^2 has the gradient 2 softplus(z) sigmoid(z) wrt z.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +53,8 @@ class LossConfig:
     total_epochs: int = 1
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not 0.0 < self.eps <= 1e-4:
             raise ValueError(f"eps must be in (0, 1e-4], got {self.eps}")
         if self.schedule not in SCHEDULES:
@@ -93,6 +92,12 @@ def softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - _over_classes(np.maximum, z)[..., None]
     e = np.exp(shifted)
     return e / _over_classes(np.add, e)[..., None]
+
+
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Log softmax over the last axis of a (..., K) logit array, shift-stabilised."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def softplus_plus_one(logits) -> DirichletParams:
@@ -164,37 +169,6 @@ def multi_observation_maximiser(d: DirichletParams, ys) -> SimplexPoint:
             f"need alpha_k > per-class label count, got alpha={d.alpha}, counts={counts}"
         )
     return SimplexPoint((d.alpha - counts) / (d.alpha0 - labels.size))
-
-
-def surrogate_log_possibility(d: DirichletParams, p_star: SimplexPoint, eps: float) -> float:
-    """Log possibility of the (eps-floored) inner maximiser under d.
-
-    Reconstructs the floored point from the clean maximiser,
-    a* = p_star * (alpha0 - 1) + eps and q = a* / sum(a*), then evaluates
-    alpha0 log alpha0 + sum_k alpha_k log(q_k / alpha_k).  Always <= 0 up to
-    eps effects, with equality toward the mode.
-    """
-    _require_single(d.alpha, p_star.probs)
-    if d.k != p_star.k:
-        raise ValueError(f"dimension mismatch: {d.k} vs {p_star.k}")
-    if not 0.0 < eps <= 1e-4:
-        raise ValueError(f"eps must be in (0, 1e-4], got {eps}")
-    if np.any(d.alpha <= 1.0):
-        raise MaximiserValidityError(
-            f"surrogate needs every concentration > 1, got {d.alpha}"
-        )
-    a_star = p_star.probs * (d.alpha0 - 1.0) + eps
-    q = a_star / a_star.sum()
-    return float(d.alpha0 * math.log(d.alpha0) + np.sum(d.alpha * np.log(q / d.alpha)))
-
-
-def spurious_evidence_regulariser(d: DirichletParams, y: int) -> float:
-    """Squared concentration mass on wrong classes: sum_{k != y} alpha_k^2."""
-    _require_single(d.alpha)
-    if not 0 <= y < d.k:
-        raise ValueError(f"label {y} out of range for {d.k} classes")
-    off = np.delete(d.alpha, y)
-    return float(np.sum(off * off))
 
 
 def lambda_schedule(cfg: LossConfig, epoch: int) -> float:
@@ -306,9 +280,7 @@ def cross_entropy_loss(logits, labels, cfg: LossConfig | None = None,
     b, k = z.shape
     y = one_hot(labels, k)
 
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_norm = np.log(np.sum(np.exp(shifted), axis=1))
-    log_probs = shifted - log_norm[:, None]
+    log_probs = log_softmax(z)
     value = float(-np.mean(log_probs[np.arange(b), np.asarray(labels)]))
     grad_logits = (np.exp(log_probs) - y) / b
 

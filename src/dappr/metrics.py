@@ -109,42 +109,17 @@ def auroc(labels, scores) -> float:
     return u / (n_pos * (n - n_pos))
 
 
-def _check_confidences(confidences, correct, n_bins: int):
-    if n_bins < 1:
-        raise ValueError(f"need at least one bin, got n_bins={n_bins}")
-    c = np.asarray(confidences, dtype=np.float64)
-    ok = np.asarray(correct)
-    if c.ndim != 1 or ok.ndim != 1 or c.size != ok.size:
-        raise ValueError("confidences and correctness must be 1-d vectors of equal length")
-    # NaN slips past both range tests below and would land in no bin
-    if not np.isfinite(c).all():
-        raise ValueError("confidences must be finite")
-    if c.size and (np.any(c < 0.0) or np.any(c > 1.0)):
-        raise ValueError("confidences must lie in [0, 1]")
-    if not ((ok == 0) | (ok == 1)).all():
-        raise ValueError("correctness flags must be binary")
-    return c, ok.astype(np.float64)
-
-
-def _bin_index(confidences: np.ndarray, n_bins: int) -> np.ndarray:
-    return np.minimum((confidences * n_bins).astype(np.int64), n_bins - 1)
-
-
 def ece(confidences, correct, n_bins: int = ECE_BINS) -> float:
-    """Expected calibration error over equal-width confidence bins."""
-    c, ok = _check_confidences(confidences, correct, n_bins)
-    if c.size == 0:
+    """Count-weighted |accuracy - confidence| over reliability_bins' non-empty bins."""
+    bins = reliability_bins(confidences, correct, n_bins)
+    n = int(bins.counts.sum())
+    if n == 0:
         log.warning("ece: empty input, returning 0")
         return 0.0
-    idx = _bin_index(c, n_bins)
     total = 0.0
-    for b in range(n_bins):
-        members = idx == b
-        n_b = int(np.sum(members))
-        if n_b == 0:
-            continue
-        gap = abs(float(np.mean(ok[members])) - float(np.mean(c[members])))
-        total += n_b / c.size * gap
+    for _, _, conf, acc, count in bins.rows():
+        if count:
+            total += count / n * abs(acc - conf)
     return total
 
 
@@ -178,17 +153,28 @@ class ReliabilityBins:
 
 def reliability_bins(confidences, correct, n_bins: int = ECE_BINS) -> ReliabilityBins:
     """Bin confidences on [0, 1] and summarise accuracy per bin."""
-    c, ok = _check_confidences(confidences, correct, n_bins)
+    if n_bins < 1:
+        raise ValueError(f"need at least one bin, got n_bins={n_bins}")
+    c = np.asarray(confidences, dtype=np.float64)
+    ok = np.asarray(correct)
+    if c.ndim != 1 or ok.ndim != 1 or c.size != ok.size:
+        raise ValueError("confidences and correctness must be 1-d vectors of equal length")
+    # NaN slips past both range tests below and would land in no bin
+    if not np.isfinite(c).all():
+        raise ValueError("confidences must be finite")
+    if c.size and (np.any(c < 0.0) or np.any(c > 1.0)):
+        raise ValueError("confidences must lie in [0, 1]")
+    if not ((ok == 0) | (ok == 1)).all():
+        raise ValueError("correctness flags must be binary")
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     mean_conf = np.full(n_bins, np.nan)
     acc = np.full(n_bins, np.nan)
     counts = np.zeros(n_bins, dtype=np.int64)
-    if c.size:
-        idx = _bin_index(c, n_bins)
-        for b in range(n_bins):
-            members = idx == b
-            counts[b] = int(np.sum(members))
-            if counts[b]:
-                mean_conf[b] = float(np.mean(c[members]))
-                acc[b] = float(np.mean(ok[members]))
+    idx = np.minimum((c * n_bins).astype(np.int64), n_bins - 1)
+    for b in range(n_bins):
+        members = idx == b
+        counts[b] = int(np.sum(members))
+        if counts[b]:
+            mean_conf[b] = float(np.mean(c[members]))
+            acc[b] = float(np.mean(ok[members]))
     return ReliabilityBins(edges, mean_conf, acc, counts)

@@ -230,15 +230,6 @@ class SimplexGrid:
         return SimplexPoint(self.points_array)
 
 
-def default_grid_resolution(k: int) -> int:
-    """Oracle grid resolution: 200 for k <= 3, 50 for k <= 5."""
-    if k <= 3:
-        return 200
-    if k <= 5:
-        return 50
-    raise ValueError(f"grid oracles support at most 5 classes, got {k}")
-
-
 def simplex_grid(k: int, m: int) -> SimplexGrid:
     """Enumerate every composition of m into k parts, scaled by 1/m.
 

@@ -52,6 +52,58 @@ def pairwise_auroc(labels, scores):
     return total / (len(pos) * len(neg))
 
 
+def numpy_pairwise_sum(values):
+    """Sum of floats in the order numpy's add.reduce uses on a 1-d array.
+
+    Fewer than 8 terms add left to right from 0.0; up to 128 terms add into
+    eight strided partial sums, combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the remainder; more terms split in two at
+    a multiple of 8 below the half.  Written out so a mean matches numpy's
+    bit for bit.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        r = list(values[:8])
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in values[tail:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return numpy_pairwise_sum(values[:half]) + numpy_pairwise_sum(values[half:])
+
+
+def binned_calibration_error(confidences, correct, n_bins):
+    """Expected calibration error from its definition, one bin at a time.
+
+    Confidence c falls in bin min(floor(c * n_bins), n_bins - 1), so 1.0
+    joins the top bin.  Each non-empty bin adds, in bin order, its share of
+    the rows times |accuracy - mean confidence|; a mean is numpy's pairwise
+    sum divided by the count.
+    """
+    n = len(confidences)
+    members = [[] for _ in range(n_bins)]
+    for c, ok in zip(confidences, correct):
+        members[min(int(c * n_bins), n_bins - 1)].append((float(c), float(ok)))
+    total = 0.0
+    for rows in members:
+        if not rows:
+            continue
+        accuracy = numpy_pairwise_sum([ok for _, ok in rows]) / len(rows)
+        confidence = numpy_pairwise_sum([c for c, _ in rows]) / len(rows)
+        total += len(rows) / n * abs(accuracy - confidence)
+    return total
+
+
 def simplex_lattice(k, m):
     """All compositions of m into k parts, as tuples, lexicographic."""
     if k == 1:

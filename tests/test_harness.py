@@ -587,6 +587,41 @@ def test_config_rejects_wrong_types():
     assert cfg.loss.lam == 0 and cfg.ood[0].n is None
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"model": {"learning_rate": math.nan}}, "model.learning_rate"),
+    ({"loss": {"lam": math.inf}}, "loss.lam"),
+    ({"loss": {"lam": 10 ** 400}}, "loss.lam"),
+    ({"dataset": {"spread": math.nan}}, "dataset.spread"),
+    ({"ood": [{"offset": -math.inf}]}, "ood.offset"),
+    ({"sweep_lambdas": [0.0, math.nan]}, "config.sweep_lambdas"),
+    ({"split_fractions": [0.8, math.inf, 0.1]}, "config.split_fractions"),
+])
+def test_config_rejects_non_finite_floats(data, key):
+    # NaN <= 0 is false, so range checks alone let JSON NaN and Infinity in
+    with pytest.raises(ValueError, match=key.replace(".", r"\.")):
+        config_from_dict(data)
+
+
+def test_config_rejects_duplicate_seeds():
+    with pytest.raises(ValueError, match="distinct"):
+        config_from_dict({"seeds": [1, 2, 1]})
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentConfig(seeds=(1, 1))
+
+
+def test_cli_non_finite_config_float_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"loss": {"lam": NaN}}')
+    assert main(["ood", "--config", str(cfg_path)]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert "loss.lam" in line
+    # the same value through the --lambda flag
+    cfg_path.write_text("{}")
+    assert main(["ood", "--config", str(cfg_path), "--lambda", "nan"]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert "lam must be finite" in line
+
+
 def test_cli_wrong_config_type_exits_one(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"model": {"epochs": "60"}}))

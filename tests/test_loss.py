@@ -19,11 +19,9 @@ from dappr.loss import (
     softmax,
     softplus,
     softplus_plus_one,
-    spurious_evidence_regulariser,
-    surrogate_log_possibility,
     vacuous_evidence_penalty,
 )
-from dappr.possibility import DirichletParams, default_grid_resolution, simplex_grid, grid_argmax_surrogate
+from dappr.possibility import DirichletParams, simplex_grid
 
 
 # ---------------------------------------------------------------------------
@@ -128,36 +126,37 @@ def test_multi_observation_rejects_timedelta_labels():
 
 
 def test_closed_form_agrees_with_grid_search():
-    """Spot check of the acceptance-scale oracle comparison."""
+    """The battery's closed-form check under a heavier-tailed alpha law."""
     rng = np.random.default_rng(11)
     for k in (2, 3):
-        m = default_grid_resolution(k)
-        grid = simplex_grid(k, m)
+        grid = simplex_grid(k, 200)
         for _ in range(15):
-            alpha = 1.0 + rng.gamma(2.0, 2.0, size=k)
-            d = DirichletParams(alpha)
-            y = int(rng.integers(k))
-            exact = closed_form_maximiser(d, y)
-            approx = grid_argmax_surrogate(d, y, grid)
-            assert np.max(np.abs(exact.probs - approx.probs)) <= 2.0 / m
+            gap = gradcheck.closed_form_gap(
+                rng, grid, lambda rng, k: 1.0 + rng.gamma(2.0, 2.0, size=k))
+            assert gap <= 2.0 / 200
 
 
 # ---------------------------------------------------------------------------
 # surrogate pieces
 
 
-def test_surrogate_log_possibility_frozen():
-    d = DirichletParams(np.array([2.0, 2.0]))
-    p = closed_form_maximiser(d, 0)
-    assert abs(surrogate_log_possibility(d, p, 1e-8) - (-0.2355660679794336)) < 1e-12
+def _logits_for(alpha):
+    """One row of logits whose head softplus(z) + 1 gives ``alpha``."""
+    return np.log(np.expm1(np.asarray([alpha], dtype=np.float64) - 1.0))
+
+
+def test_surrogate_term_frozen():
+    out = dappr_loss(_logits_for([2.0, 2.0]), np.array([0]), LossConfig(lam=0.0))
+    assert abs(out.surrogate_term - (-0.2355660679794336)) < 1e-12
 
 
 def test_regulariser_formula():
-    d = DirichletParams(np.array([3.0, 2.0, 0.5]))
-    assert spurious_evidence_regulariser(d, 0) == 4.25
-    assert spurious_evidence_regulariser(d, 2) == 13.0
+    z = _logits_for([3.0, 2.0, 1.5])
+    # sum over the wrong classes of alpha_k^2
+    assert dappr_loss(z, np.array([2]), LossConfig()).regulariser == 13.0
+    assert dappr_loss(z, np.array([0]), LossConfig()).regulariser == 6.25
     with pytest.raises(ValueError):
-        spurious_evidence_regulariser(d, 3)
+        dappr_loss(z, np.array([3]), LossConfig())
 
 
 def test_lambda_schedule_constant_and_warmup():
@@ -185,6 +184,10 @@ def test_lambda_schedule_linear_and_bounds():
 def test_loss_config_validation():
     with pytest.raises(ValueError):
         LossConfig(lam=-1e-3)
+    with pytest.raises(ValueError):
+        LossConfig(lam=math.nan)
+    with pytest.raises(ValueError):
+        LossConfig(lam=math.inf)
     with pytest.raises(ValueError):
         LossConfig(eps=0.0)
     with pytest.raises(ValueError):

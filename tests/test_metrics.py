@@ -19,7 +19,7 @@ from dappr.metrics import (
 )
 from dappr.possibility import DirichletParams, SimplexPoint
 
-from oracles import pairwise_auroc, rank_walk_average_precision
+from oracles import binned_calibration_error, pairwise_auroc, rank_walk_average_precision
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +131,19 @@ def test_ece_hand_example():
     # bins 0, 14, 14, 9: gaps 0.95, 0.45, 0.35 with weights 1/4, 2/4, 1/4
     want = 0.25 * 0.95 + 0.5 * 0.45 + 0.25 * 0.35
     assert ece(conf, correct) == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.floats(0.0, 1.0),
+                                    st.sampled_from([k / ECE_BINS for k in range(ECE_BINS + 1)])),
+                          st.booleans()),
+                min_size=1, max_size=300))
+def test_ece_matches_binned_oracle_exactly(rows):
+    # exact bin edges k/15, 0.0 and 1.0 are drawn on purpose: each one must
+    # land in the same bin as in the definition
+    confidences = [c for c, _ in rows]
+    correct = [int(ok) for _, ok in rows]
+    assert ece(confidences, correct) == binned_calibration_error(confidences, correct, ECE_BINS)
 
 
 def test_ece_perfect_calibration_is_zero():

@@ -10,7 +10,6 @@ from dappr.possibility import (
     SimplexGrid,
     SimplexPoint,
     _over_classes,
-    default_grid_resolution,
     dirichlet_mode,
     dirichlet_possibility,
     grid_argmax_surrogate,
@@ -137,15 +136,6 @@ def test_grid_rows_sum_to_one():
         vertex = np.zeros(4)
         vertex[k] = 1.0
         assert any(np.array_equal(row, vertex) for row in g.points_array)
-
-
-def test_default_grid_resolution():
-    assert default_grid_resolution(2) == 200
-    assert default_grid_resolution(3) == 200
-    assert default_grid_resolution(4) == 50
-    assert default_grid_resolution(5) == 50
-    with pytest.raises(ValueError):
-        default_grid_resolution(6)
 
 
 @settings(max_examples=25, deadline=None)
