@@ -34,7 +34,7 @@ FD_STEP = 1e-5
 KINK_MARGIN = 1e-4
 
 
-def fd_gradient(f, x0: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def fd_gradient(f, x0: np.ndarray) -> np.ndarray:
     """Central-difference gradient of scalar f at x0, elementwise."""
     x0 = np.asarray(x0, dtype=np.float64)
     grad = np.zeros_like(x0)
@@ -42,12 +42,12 @@ def fd_gradient(f, x0: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     base = x0.copy()
     for i in range(base.size):
         orig = base.ravel()[i]
-        base.ravel()[i] = orig + h
+        base.ravel()[i] = orig + FD_STEP
         up = f(base)
-        base.ravel()[i] = orig - h
+        base.ravel()[i] = orig - FD_STEP
         down = f(base)
         base.ravel()[i] = orig
-        flat[i] = (up - down) / (2.0 * h)
+        flat[i] = (up - down) / (2.0 * FD_STEP)
     return grad
 
 
@@ -78,12 +78,11 @@ def base_p_star(logits, labels, cfg: LossConfig) -> np.ndarray:
     return a_star / a_star.sum(axis=1, keepdims=True)
 
 
-def dappr_loss_fd_gradient(logits, labels, cfg: LossConfig, epoch: int = 0,
-                           h: float = FD_STEP) -> np.ndarray:
+def dappr_loss_fd_gradient(logits, labels, cfg: LossConfig, epoch: int = 0) -> np.ndarray:
     """FD gradient of the surrogate loss wrt logits, p* frozen at the base."""
     p0 = base_p_star(logits, labels, cfg)
     return fd_gradient(frozen_pstar_objective(labels, cfg, epoch, p0),
-                       np.asarray(logits, dtype=np.float64), h)
+                       np.asarray(logits, dtype=np.float64))
 
 
 def vacuous_penalty_value(logits) -> float:
@@ -92,13 +91,12 @@ def vacuous_penalty_value(logits) -> float:
     return float(VACUOUS_WEIGHT * np.mean(np.sum((alpha - 1.0) ** 2, axis=1)))
 
 
-def vacuous_penalty_fd_gradient(logits, h: float = FD_STEP) -> np.ndarray:
+def vacuous_penalty_fd_gradient(logits) -> np.ndarray:
     """FD gradient of the vacuous-evidence penalty wrt logits."""
-    return fd_gradient(vacuous_penalty_value, np.asarray(logits, dtype=np.float64), h)
+    return fd_gradient(vacuous_penalty_value, np.asarray(logits, dtype=np.float64))
 
 
-def network_fd_gradient(params: NetworkParams, x, value_fn,
-                        h: float = FD_STEP) -> np.ndarray:
+def network_fd_gradient(params: NetworkParams, x, value_fn) -> np.ndarray:
     """FD gradient of value_fn(logits) wrt all weights and biases.
 
     value_fn maps a logits batch to a scalar; for the surrogate loss pass a
@@ -112,7 +110,7 @@ def network_fd_gradient(params: NetworkParams, x, value_fn,
         flat[...] = theta
         return value_fn(forward(packed, x))
 
-    return fd_gradient(f, flat, h)
+    return fd_gradient(f, flat)
 
 
 def step_fd_gradient(params: NetworkParams, x, labels, cfg: LossConfig,

@@ -1,4 +1,4 @@
-"""Experiment harness: configuration, runners, reports, CSV emitters.
+"""Experiment harness: configuration, runners, reports, CSV tables.
 
 Runs are deterministic for a given config: datasets, splits, shuffles and
 weight init all derive from explicit seeds, and reports are serialized with
@@ -348,6 +348,18 @@ def evaluate_seed(params: NetworkParams, test: LabeledDataset,
     return result, raw
 
 
+def _fit_and_score(cfg: ExperimentConfig, train_ds: LabeledDataset,
+                   val_ds: LabeledDataset, test_ds: LabeledDataset,
+                   ood_sets: dict[str, np.ndarray] | None = None) -> list:
+    """Train every seed of cfg as one stack, then evaluate_seed each model.
+
+    Returns one (seed, params, result, raw) per seed, in order; the OOD
+    numbers cover ood_sets, none when it is None.
+    """
+    return [(seed, params, *evaluate_seed(params, test_ds, ood_sets or {}))
+            for seed, (params, _) in zip(cfg.seeds, _fit(cfg, cfg.seeds, train_ds, val_ds))]
+
+
 # ---------------------------------------------------------------------------
 # Report helpers
 
@@ -387,12 +399,12 @@ def write_report(report: dict, outdir: Path, runtime: float) -> Path:
     return path
 
 
-def emit_alpha0_histogram(id_values, ood_values, path,
-                          n_bins: int = HISTOGRAM_BINS) -> dict:
+def emit_alpha0_histogram(id_values, ood_values, path) -> dict:
     """Joint min-max normalised histogram of total concentration.
 
     Both samples are normalised with the same (min, max) taken over their
-    union, so the two count columns share the [0, 1] axis.
+    union, so the two count columns share the [0, 1] axis of HISTOGRAM_BINS
+    bins.
     """
     id_values = np.asarray(id_values, dtype=np.float64)
     ood_values = np.asarray(ood_values, dtype=np.float64)
@@ -403,13 +415,11 @@ def emit_alpha0_histogram(id_values, ood_values, path,
     if hi == lo:
         log.warning("alpha0 histogram: degenerate range, all values equal %r", lo)
         hi = lo + 1.0
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     id_counts, _ = np.histogram((id_values - lo) / (hi - lo), bins=edges)
     ood_counts, _ = np.histogram((ood_values - lo) / (hi - lo), bins=edges)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("bin_low,bin_high,count_id,count_ood\n")
-        for b in range(n_bins):
-            fh.write(f"{edges[b]!r},{edges[b + 1]!r},{id_counts[b]},{ood_counts[b]}\n")
+    _write_table(path, ("bin_low", "bin_high", "count_id", "count_ood"),
+                 zip(edges[:-1], edges[1:], id_counts, ood_counts))
     return {
         "min": lo, "max": hi,
         "id_counts": id_counts.tolist(),
@@ -417,12 +427,29 @@ def emit_alpha0_histogram(id_values, ood_values, path,
     }
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_table(path: Path, columns, rows) -> list[dict]:
+    """Write rows as CSV under a header of columns; return them as dicts.
+
+    A float field, numpy's too, is written as ``repr(float(v))``, so it reads
+    back to the same value; NaN is an empty field; anything else is
+    ``str(v)``.
+    """
+    def field(v) -> str:
+        if isinstance(v, (float, np.floating)):
+            return "" if np.isnan(v) else repr(float(v))
+        return str(v)
+
+    records = [dict(zip(columns, row)) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for record in records:
+            fh.write(",".join(map(field, record.values())) + "\n")
+    return records
+
+
+def _write_reliability(path: Path, confidences, correct) -> None:
+    _write_table(path, ("bin_low", "bin_high", "mean_conf", "accuracy", "count"),
+                 reliability_bins(confidences, correct).rows())
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +487,10 @@ def run_train(cfg: ExperimentConfig, outdir: Path) -> dict:
     seed = cfg.seeds[0]
     [(params, history)] = _fit(cfg, [seed], train_ds, val_ds)
     save_checkpoint(params, outdir / "checkpoint.json")
-    _write_csv(outdir / "history.csv", "epoch,train_loss,val_accuracy,val_mean_alpha0",
-               [(e, history.train_loss[e], history.val_accuracy[e],
-                 history.val_mean_alpha0[e]) for e in range(len(history.train_loss))])
+    _write_table(outdir / "history.csv",
+                 ("epoch", "train_loss", "val_accuracy", "val_mean_alpha0"),
+                 zip(range(len(history.train_loss)), history.train_loss,
+                     history.val_accuracy, history.val_mean_alpha0))
     return {
         "seed": seed,
         "epochs_run": len(history.train_loss),
@@ -481,8 +509,7 @@ def run_eval(cfg: ExperimentConfig, outdir: Path, checkpoint_path) -> dict:
     if params.layer_sizes[0] != test_ds.dim or params.layer_sizes[-1] < test_ds.n_classes:
         raise ValueError("checkpoint shape does not match the configured dataset")
     result, raw = evaluate_seed(params, test_ds, {})
-    bins = reliability_bins(raw["confidences"], raw["correct"])
-    bins.save_csv(outdir / "reliability.csv")
+    _write_reliability(outdir / "reliability.csv", raw["confidences"], raw["correct"])
     return {
         "checkpoint": str(checkpoint_path),
         "metrics": {k: result[k] for k in
@@ -496,18 +523,16 @@ def run_standard(cfg: ExperimentConfig, outdir: Path) -> dict:
     train_ds, val_ds, test_ds = make_splits(cfg)
     ood_sets = _ood_sets(cfg, test_ds.n)
 
-    per_seed, raws = [], []
-    for seed, (params, _) in zip(cfg.seeds, _fit(cfg, cfg.seeds, train_ds, val_ds)):
+    scored = _fit_and_score(cfg, train_ds, val_ds, test_ds, ood_sets)
+    for seed, params, _, _ in scored:
         save_checkpoint(params, outdir / f"checkpoint_seed{seed}.json")
-        result, raw = evaluate_seed(params, test_ds, ood_sets)
-        per_seed.append({**result, "seed": seed})
-        raws.append(raw)
+    per_seed = [{**result, "seed": seed} for seed, _, result, _ in scored]
+    raws = [raw for *_, raw in scored]
 
     def pooled(key):
         return np.concatenate([raw[key] for raw in raws])
 
-    bins = reliability_bins(pooled("confidences"), pooled("correct"))
-    bins.save_csv(outdir / "reliability.csv")
+    _write_reliability(outdir / "reliability.csv", pooled("confidences"), pooled("correct"))
 
     histogram = None
     if ood_sets:
@@ -528,28 +553,25 @@ def run_standard(cfg: ExperimentConfig, outdir: Path) -> dict:
 def run_scaling(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Training-set size sweep; epistemic uncertainty on a fixed test split."""
     train_ds, val_ds, test_ds = make_splits(cfg)
+    for size in cfg.scaling_sizes:
+        if not 1 <= size <= train_ds.n:
+            raise ValueError(f"scaling size {size} is below 1 or exceeds "
+                             f"the train split ({train_ds.n})")
 
     rows = []
-    curve: list[dict] = []
+    curve = []
     for size in cfg.scaling_sizes:
-        if size > train_ds.n:
-            raise ValueError(f"scaling size {size} exceeds train split ({train_ds.n})")
         subset = stratified_subsample(train_ds, size, cfg.split_seed)
-        for seed, (params, _) in zip(cfg.seeds, _fit(cfg, cfg.seeds, subset, val_ds)):
-            result, raw = evaluate_seed(params, test_ds, {})
-            rows.append((size, seed, float(np.mean(raw["epistemic"])), result["accuracy"]))
-        values = [r[2] for r in rows if r[0] == size]
-        accs = [r[3] for r in rows if r[0] == size]
+        runs = [(size, seed, float(np.mean(raw["epistemic"])), result["accuracy"])
+                for seed, _, result, raw in _fit_and_score(cfg, subset, val_ds, test_ds)]
+        rows += runs
         curve.append({"size": size,
-                      "mean_epistemic": float(np.mean(values)),
-                      "mean_accuracy": float(np.mean(accs))})
+                      "mean_epistemic": float(np.mean([r[2] for r in runs])),
+                      "mean_accuracy": float(np.mean([r[3] for r in runs]))})
 
-    _write_csv(outdir / "scaling.csv", "size,seed,mean_epistemic,accuracy", rows)
-    return {
-        "per_run": [{"size": s, "seed": seed, "mean_epistemic": e, "accuracy": a}
-                    for s, seed, e, a in rows],
-        "curve": curve,
-    }
+    per_run = _write_table(outdir / "scaling.csv",
+                           ("size", "seed", "mean_epistemic", "accuracy"), rows)
+    return {"per_run": per_run, "curve": curve}
 
 
 @_runner("longtail")
@@ -562,8 +584,7 @@ def run_longtail(cfg: ExperimentConfig, outdir: Path) -> dict:
     per_seed = []
     per_class_alpha0 = np.zeros(test_ds.n_classes)
     per_class_acc = np.zeros(test_ds.n_classes)
-    for seed, (params, _) in zip(cfg.seeds, _fit(cfg, cfg.seeds, tail_train, val_ds)):
-        result, raw = evaluate_seed(params, test_ds, {})
+    for seed, _, result, raw in _fit_and_score(cfg, tail_train, val_ds, test_ds):
         per_seed.append({"seed": seed, "accuracy": result["accuracy"]})
         for k in range(test_ds.n_classes):
             members = test_ds.labels == k
@@ -572,19 +593,16 @@ def run_longtail(cfg: ExperimentConfig, outdir: Path) -> dict:
     per_class_alpha0 /= len(cfg.seeds)
     per_class_acc /= len(cfg.seeds)
 
-    _write_csv(outdir / "longtail.csv",
-               "class,train_count,test_accuracy,mean_alpha0",
-               [(k, int(counts[k]), float(per_class_acc[k]), float(per_class_alpha0[k]))
-                for k in range(test_ds.n_classes)])
+    per_class = _write_table(
+        outdir / "longtail.csv", ("class", "train_count", "test_accuracy", "mean_alpha0"),
+        [(k, int(counts[k]), float(per_class_acc[k]), float(per_class_alpha0[k]))
+         for k in range(test_ds.n_classes)])
     mean, std = _aggregate(per_seed, ["accuracy"])
     report = {
         "train_counts": counts.tolist(),
         "per_seed": per_seed,
         "mean": mean,
-        "per_class": [{"class": k, "train_count": int(counts[k]),
-                       "test_accuracy": float(per_class_acc[k]),
-                       "mean_alpha0": float(per_class_alpha0[k])}
-                      for k in range(test_ds.n_classes)],
+        "per_class": per_class,
     }
     if len(cfg.seeds) > 1:
         report["std"] = std
@@ -604,25 +622,17 @@ def run_lambda_sweep(cfg: ExperimentConfig, outdir: Path) -> dict:
     curve = []
     for lam in cfg.sweep_lambdas:
         sweep_cfg = replace(cfg, loss=replace(cfg.loss, lam=lam))
-        accs, auprs = [], []
-        for seed, (params, _) in zip(cfg.seeds,
-                                     _fit(sweep_cfg, cfg.seeds, train_ds, val_ds)):
-            result, _ = evaluate_seed(params, test_ds, ood_sets)
-            rows.append((float(lam), seed, result["accuracy"],
-                         result["ood"][first]["aupr"]))
-            accs.append(result["accuracy"])
-            auprs.append(result["ood"][first]["aupr"])
+        runs = [(float(lam), seed, result["accuracy"], result["ood"][first]["aupr"])
+                for seed, _, result, _ in _fit_and_score(sweep_cfg, train_ds, val_ds,
+                                                         test_ds, ood_sets)]
+        rows += runs
         curve.append({"lambda": float(lam),
-                      "mean_accuracy": float(np.mean(accs)),
-                      "mean_ood_aupr": float(np.mean(auprs))})
+                      "mean_accuracy": float(np.mean([r[2] for r in runs])),
+                      "mean_ood_aupr": float(np.mean([r[3] for r in runs]))})
 
-    _write_csv(outdir / "sweep.csv", "lambda,seed,accuracy,ood_aupr", rows)
-    return {
-        "ood_set": first,
-        "per_run": [{"lambda": lam, "seed": seed, "accuracy": acc, "ood_aupr": ap}
-                    for lam, seed, acc, ap in rows],
-        "curve": curve,
-    }
+    per_run = _write_table(outdir / "sweep.csv",
+                           ("lambda", "seed", "accuracy", "ood_aupr"), rows)
+    return {"ood_set": first, "per_run": per_run, "curve": curve}
 
 
 # ---------------------------------------------------------------------------
@@ -697,13 +707,11 @@ def run_probe(cfg: ExperimentConfig, outdir: Path) -> dict:
         worst = max([0.0] + [abs(l_p - l_true) for l_p in l_soft])
         rows.append((int(x_idx), l_true, worst, worst / l_true))
 
-    ratios = sorted(r[3] for r in rows)
-    median_ratio = float(np.median(ratios))
-    _write_csv(outdir / "probe.csv", "sample,loo_loss_true,s_x,ratio", rows)
+    per_sample = _write_table(outdir / "probe.csv",
+                              ("sample", "loo_loss_true", "s_x", "ratio"), rows)
     return {
-        "per_sample": [{"sample": i, "loo_loss_true": lt, "s_x": sx, "ratio": r}
-                       for i, lt, sx, r in rows],
-        "median_ratio": median_ratio,
+        "per_sample": per_sample,
+        "median_ratio": float(np.median([r["ratio"] for r in per_sample])),
     }
 
 

@@ -157,13 +157,9 @@ def multi_observation_maximiser(d: DirichletParams, ys) -> SimplexPoint:
     """
     _require_single(d.alpha)
     labels = np.asarray(ys)
-    if labels.ndim != 1 or labels.size == 0:
+    if labels.size == 0:
         raise ValueError("need at least one observation")
-    if labels.dtype.kind not in "iu":
-        raise ValueError("labels must be integers")
-    if np.any(labels < 0) or np.any(labels >= d.k):
-        raise ValueError(f"labels must lie in [0, {d.k})")
-    counts = np.bincount(labels, minlength=d.k).astype(np.float64)
+    counts = one_hot(labels, d.k).sum(axis=0)
     if np.any(d.alpha <= counts):
         raise MaximiserValidityError(
             f"need alpha_k > per-class label count, got alpha={d.alpha}, counts={counts}"

@@ -17,7 +17,6 @@ in the harness.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,14 +140,6 @@ class ReliabilityBins:
             yield (float(self.bin_edges[b]), float(self.bin_edges[b + 1]),
                    float(self.mean_confidence[b]), float(self.accuracy[b]),
                    int(self.counts[b]))
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("bin_low,bin_high,mean_conf,accuracy,count\n")
-            for lo, hi, conf, acc, count in self.rows():
-                conf_s = "" if math.isnan(conf) else repr(conf)
-                acc_s = "" if math.isnan(acc) else repr(acc)
-                fh.write(f"{lo!r},{hi!r},{conf_s},{acc_s},{count}\n")
 
 
 def reliability_bins(confidences, correct, n_bins: int = ECE_BINS) -> ReliabilityBins:

@@ -221,8 +221,10 @@ def backward(params: NetworkParams, acts, grad_logits):
 class _Adam:
     """Adam (Kingma & Ba, 2015) as one in-place update of a flat parameter buffer."""
 
-    def __init__(self, flat, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, flat, lr):
+        self.lr = lr
         self.t = 0
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)

@@ -8,7 +8,7 @@ import pytest
 
 from dappr import harness, nn
 from dappr.cli import main
-from dappr.datasets import gaussian_blobs, long_tail_resample
+from dappr.datasets import LabeledDataset, gaussian_blobs, long_tail_resample, save_csv
 from dappr.harness import (
     HISTOGRAM_BINS,
     ExperimentConfig,
@@ -32,7 +32,8 @@ from dappr.harness import (
     run_verify,
     train_config,
 )
-from dappr.nn import forward, train
+from dappr.metrics import ECE_BINS
+from dappr.nn import NetworkParams, forward, save_checkpoint, train
 from oracles import row_uncertainties, soft_label_finetune, total_cross_entropy
 
 
@@ -140,6 +141,26 @@ def test_run_eval_reads_checkpoint_back(tmp_path):
     assert (tmp_path / "out" / "reliability.csv").exists()
 
 
+def test_run_eval_reliability_csv_blanks_empty_bins(tmp_path):
+    # a 2-2 network with zero weights gives alpha = (a, a), confidence 0.5 and
+    # the prediction 0 on every row; the 0.8/0/0.2 split of five 0s and two 1s
+    # puts exactly one row, a 0, into the test part
+    save_csv(LabeledDataset(np.arange(14.0).reshape(7, 2), np.array([0] * 5 + [1] * 2), 2),
+             tmp_path / "data.csv")
+    save_checkpoint(NetworkParams((2, 2), [np.zeros((2, 2))], [np.zeros(2)], 0, "dappr"),
+                    tmp_path / "zero.json")
+    cfg = tiny_config(tmp_path, dataset={"kind": "csv", "path": str(tmp_path / "data.csv")},
+                      split_fractions=[0.8, 0.0, 0.2])
+    run_eval(cfg, tmp_path / "zero.json")
+    lines = (tmp_path / "out" / "reliability.csv").read_text().strip().split("\n")
+    assert lines[0] == "bin_low,bin_high,mean_conf,accuracy,count"
+    assert len(lines) == 1 + ECE_BINS
+    empties = [ln for ln in lines[1:] if ln.endswith(",,,0")]
+    assert len(empties) == ECE_BINS - 1
+    full = [ln for ln in lines[1:] if not ln.endswith(",0")]
+    assert len(full) == 1 and full[0].endswith("0.5,1.0,1")
+
+
 def test_run_eval_rejects_mismatched_checkpoint(tmp_path):
     cfg = tiny_config(tmp_path)
     run_train(cfg)
@@ -210,10 +231,14 @@ def test_run_scaling_curve_ordering(tmp_path):
     assert (tmp_path / "out" / "scaling.csv").exists()
 
 
-def test_run_scaling_rejects_oversized_request(tmp_path):
-    cfg = tiny_config(tmp_path, scaling_sizes=[5000])
-    with pytest.raises(ValueError, match="exceeds"):
-        run_scaling(cfg)
+def test_run_scaling_rejects_oversized_request(tmp_path, monkeypatch):
+    def fit(*args):
+        raise AssertionError("a model trained before every size was checked")
+
+    monkeypatch.setattr(harness, "_fit", fit)
+    for sizes in ([5000], [12, 5000], [12, 0]):
+        with pytest.raises(ValueError, match="exceeds"):
+            run_scaling(tiny_config(tmp_path, scaling_sizes=sizes))
 
 
 def test_run_longtail_counts_and_per_class(tmp_path):
@@ -504,6 +529,31 @@ def test_verify_catches_a_wrong_background_gradient(monkeypatch):
     monkeypatch.setattr(nn, "vacuous_evidence_penalty", scaled)
     bad = {name for name, ok, _ in run_verify().checks if not ok}
     assert "gradient_end_to_end" in bad
+
+
+def test_every_runner_writes_csv_fields_that_read_as_numbers(tmp_path):
+    cfg = tiny_config(tmp_path, scaling_sizes=[12, 24], sweep_lambdas=[0.0, 0.5],
+                      probe={"n_probed": 2, "n_perturbations": 1, "finetune_epochs": 1})
+    run_train(cfg)
+    checkpoint = tmp_path / "out" / "checkpoint.json"
+    runs = {"eval": lambda c: run_eval(c, checkpoint), "standard": run_standard,
+            "scaling": run_scaling, "longtail": run_longtail, "sweep": run_lambda_sweep,
+            "probe": run_probe}
+    for name, run in runs.items():
+        run(replace(cfg, out=str(tmp_path / name)))
+    paths = sorted(tmp_path.glob("*/*.csv"))
+    assert {p.name for p in paths} == {
+        "history.csv", "reliability.csv", "alpha0_histogram.csv", "scaling.csv",
+        "longtail.csv", "sweep.csv", "probe.csv"}
+    for path in paths:
+        header, *lines = path.read_text().splitlines()
+        assert lines, path
+        for line in lines:
+            fields = line.split(",")
+            assert len(fields) == len(header.split(",")), (path, line)
+            for value in fields:
+                if value:
+                    float(value)  # raises on np.float64(...) and other reprs
 
 
 # ---------------------------------------------------------------------------

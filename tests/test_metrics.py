@@ -201,19 +201,6 @@ def test_reliability_bins_shape_and_clamp():
     assert rows[-1][2] == 1.0 and rows[-1][3] == 1.0
 
 
-def test_reliability_bins_csv_blanks_empty_bins(tmp_path):
-    bins = reliability_bins([0.5], [1])
-    path = tmp_path / "bins.csv"
-    bins.save_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "bin_low,bin_high,mean_conf,accuracy,count"
-    assert len(lines) == 1 + ECE_BINS
-    empties = [ln for ln in lines[1:] if ln.endswith(",,,0")]
-    assert len(empties) == ECE_BINS - 1
-    full = [ln for ln in lines[1:] if not ln.endswith(",0")]
-    assert len(full) == 1 and full[0].endswith("0.5,1.0,1")
-
-
 # ---------------------------------------------------------------------------
 # batches of rows: every batched value equals the value of its row alone
 
