@@ -67,13 +67,15 @@ class LossConfig:
 class LossOutput:
     """Loss value, analytic gradient wrt logits, and the two mean components.
 
-    ``value == surrogate_term + lam_t * regulariser`` by construction.
+    ``value == surrogate_term + lam_t * regulariser`` by construction.  The
+    three are floats for one batch and hold one entry per batch for a stack
+    (cross_entropy_loss's regulariser stays the float 0.0).
     """
 
-    value: float
+    value: float | np.ndarray
     grad_logits: np.ndarray
-    surrogate_term: float
-    regulariser: float
+    surrogate_term: float | np.ndarray
+    regulariser: float | np.ndarray
     lam_t: float
 
 
@@ -117,16 +119,19 @@ def softplus_plus_one(logits) -> DirichletParams:
 
 
 def one_hot(labels, k: int) -> np.ndarray:
+    """(..., k) float rows with a 1 at each label, for integer labels of any shape."""
     y = np.asarray(labels)
-    if y.ndim != 1:
-        raise ValueError(f"labels must be a 1-d vector, got shape {y.shape}")
+    if y.ndim < 1:
+        raise ValueError(f"labels must have at least one dimension, got shape {y.shape}")
     if y.dtype.kind not in "iu":
         raise ValueError("labels must be integers")
-    if y.size and (y.min() < 0 or y.max() >= k):
+    flat = y.reshape(-1).astype(np.int64, copy=False)
+    # a negative label read as unsigned is huge: one max checks both ends
+    if flat.size and flat.view(np.uint64).max() >= k:
         raise ValueError(f"labels must lie in [0, {k}), got {y}")
-    out = np.zeros((y.size, k), dtype=np.float64)
-    out[np.arange(y.size), y] = 1.0
-    return out
+    out = np.zeros(flat.size * k)
+    out[np.arange(0, flat.size * k, k) + flat] = 1.0
+    return out.reshape(y.shape + (k,))
 
 
 def closed_form_maximiser(d: DirichletParams, y: int) -> SimplexPoint:
@@ -159,7 +164,7 @@ def multi_observation_maximiser(d: DirichletParams, ys) -> SimplexPoint:
     labels = np.asarray(ys)
     if labels.size == 0:
         raise ValueError("need at least one observation")
-    counts = one_hot(labels, d.k).sum(axis=0)
+    counts = one_hot(labels, d.k).reshape(-1, d.k).sum(axis=0)
     if np.any(d.alpha <= counts):
         raise MaximiserValidityError(
             f"need alpha_k > per-class label count, got alpha={d.alpha}, counts={counts}"
@@ -195,11 +200,11 @@ def _check_logit_batches(logits) -> np.ndarray:
     return z
 
 
-def _check_logits(logits) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError(f"logits must be a 2-d batch, got shape {z.shape}")
-    return _check_logit_batches(z)
+def _batch_one_hot(labels, z: np.ndarray) -> np.ndarray:
+    """one_hot of one label per row of the (..., batch, K) logits ``z``."""
+    if np.shape(labels) != z.shape[:-1]:
+        raise ValueError(f"label shape {np.shape(labels)} does not match logits {z.shape}")
+    return one_hot(labels, z.shape[-1])
 
 
 def dappr_loss(logits, labels, cfg: LossConfig, epoch: int = 0) -> LossOutput:
@@ -209,41 +214,41 @@ def dappr_loss(logits, labels, cfg: LossConfig, epoch: int = 0) -> LossOutput:
     p* = a*/sum(a*) held constant under differentiation,
     surrogate = alpha0 log alpha0 + sum_k alpha_k log(p*_k / alpha_k),
     penalty = sum_k (alpha_k (1 - y_k))^2.  The batch value is
-    mean(surrogate) + lam_t * mean(penalty).
+    mean(surrogate) + lam_t * mean(penalty).  ``logits`` is one (b, K) batch
+    with (b,) labels, which gives float fields, or a (..., b, K) stack of
+    batches with (..., b) labels, which gives value, surrogate_term and
+    regulariser per leading index, each batch's bits as if scored alone.
     """
-    z = _check_logits(logits)
-    b, k = z.shape
-    y = one_hot(labels, k)
+    z = _check_logit_batches(logits)
+    y = _batch_one_hot(labels, z)
+    b = z.shape[-2]
     lam_t = lambda_schedule(cfg, epoch)
 
     sp = softplus(z)
     alpha = sp + 1.0
-    alpha0 = alpha.sum(axis=1, keepdims=True)
+    alpha0 = alpha.sum(axis=-1, keepdims=True)
     a_star = alpha - y + cfg.eps
-    p_star = a_star / a_star.sum(axis=1, keepdims=True)
+    p_star = a_star / a_star.sum(axis=-1, keepdims=True)
 
     off = 1.0 - y
-    surrogate = (alpha0[:, 0] * np.log(alpha0[:, 0])
-                 + (alpha * np.log(p_star / alpha)).sum(axis=1))
+    surrogate = (alpha0[..., 0] * np.log(alpha0[..., 0])
+                 + (alpha * np.log(p_star / alpha)).sum(axis=-1))
     penalty_terms = alpha * off
-    penalty = (penalty_terms * penalty_terms).sum(axis=1)
+    penalty = (penalty_terms * penalty_terms).sum(axis=-1)
 
     # sum / b gives the bits of .mean() without its Python-level overhead
-    surrogate_mean = float(surrogate.sum()) / b
-    penalty_mean = float(penalty.sum()) / b
+    surrogate_mean = surrogate.sum(axis=-1) / b
+    penalty_mean = penalty.sum(axis=-1) / b
+    if z.ndim == 2:
+        surrogate_mean, penalty_mean = float(surrogate_mean), float(penalty_mean)
     value = surrogate_mean + lam_t * penalty_mean
 
-    grad_alpha = np.log(alpha0 * p_star / alpha) + 2.0 * lam_t * alpha * off
-    # -expm1(-softplus(z)) is sigmoid(z), reusing the softplus above
-    grad_logits = grad_alpha * -np.expm1(-sp) / b
-
-    return LossOutput(
-        value=value,
-        grad_logits=grad_logits,
-        surrogate_term=surrogate_mean,
-        regulariser=penalty_mean,
-        lam_t=lam_t,
-    )
+    # off is exactly 0 or 1, so this is (2 lam_t alpha) off to the bit
+    grad_alpha = np.log(alpha0 * p_star / alpha) + 2.0 * lam_t * penalty_terms
+    # sigmoid(z) is -expm1(-softplus(z)); its sign moves onto b, bits unchanged
+    grad_logits = grad_alpha * np.expm1(-sp) / -b
+    return LossOutput(value=value, grad_logits=grad_logits, surrogate_term=surrogate_mean,
+                      regulariser=penalty_mean, lam_t=lam_t)
 
 
 def vacuous_evidence_penalty(logits):
@@ -269,21 +274,18 @@ def cross_entropy_loss(logits, labels, cfg: LossConfig | None = None,
                        epoch: int = 0) -> LossOutput:
     """Mean negative log softmax likelihood and its gradient.
 
-    The cfg/epoch arguments are accepted for interface parity with
-    dappr_loss and ignored; the regulariser component is 0.
+    Takes one (b, K) batch or a (..., b, K) stack as dappr_loss does.  The
+    cfg/epoch arguments are accepted for interface parity with dappr_loss
+    and ignored; the regulariser component is 0.
     """
-    z = _check_logits(logits)
-    b, k = z.shape
-    y = one_hot(labels, k)
+    z = _check_logit_batches(logits)
+    y = _batch_one_hot(labels, z)
+    b = z.shape[-2]
 
     log_probs = log_softmax(z)
-    value = float(-np.mean(log_probs[np.arange(b), np.asarray(labels)]))
+    value = -(log_probs[y == 1.0].reshape(y.shape[:-1]).sum(axis=-1) / b)
+    if z.ndim == 2:
+        value = float(value)
     grad_logits = (np.exp(log_probs) - y) / b
-
-    return LossOutput(
-        value=value,
-        grad_logits=grad_logits,
-        surrogate_term=value,
-        regulariser=0.0,
-        lam_t=0.0,
-    )
+    return LossOutput(value=value, grad_logits=grad_logits, surrogate_term=value,
+                      regulariser=0.0, lam_t=0.0)

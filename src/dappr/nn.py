@@ -8,9 +8,10 @@ Parameters live in one flat float64 buffer (``pack_network``).  A stack of S
 networks is an (S, block) buffer, model-major, whose per-layer views carry a
 leading network axis; the forward and backward pass take a stack as they
 take one network.  ``train`` trains a list of configs that differ only in
-seed as one stack: one forward and one backward per step for all of them,
-while each network keeps its own shuffles, background draws, loss call and
-optimizer, so every network gets the bits it would get trained alone.
+seed as one stack: one forward, loss call, backward and optimizer step per
+step for all of them.  The loss and the optimizer work row by row and each
+network keeps its own shuffles and background draws, so every network gets
+the bits it would get trained alone.
 
 With the concentration head, every training step also draws background
 inputs from a broad Gaussian around the training inputs and fits the
@@ -275,31 +276,24 @@ def background_law(train_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _step_gradients(params: NetworkParams, x, labels, loss_fn, loss_cfg,
                     epoch: int, background=None):
-    """Loss outputs and weight/bias gradients of one training step of a stack.
+    """Loss output and weight/bias gradients of one training step of a stack.
 
     ``params`` is a stack from pack_network(copies=S), ``x`` (S, b, d) and
-    ``labels`` (S, b), one set of rows per network; each network's data
-    logits go through their own ``loss_fn`` call.  ``background`` rows
-    (S, b, d), when given, share the forward/backward pass with the data
-    rows and carry the vacuous-evidence penalty, one call for the stack.
-    Returns (one loss output per network, covering its data rows only,
-    grads_w, grads_b).
+    ``labels`` (S, b), one set of rows per network; one ``loss_fn`` call
+    scores the (S, b, K) data logits.  ``background`` rows (S, b, d), when
+    given, share the forward/backward pass with the data rows and carry the
+    vacuous-evidence penalty, one call for the stack.  Returns (the loss
+    output, one value per network over its data rows, grads_w, grads_b).
     """
     b = x.shape[1]
     if background is not None:
         x = np.concatenate([x, background], axis=1)
     acts = _forward_cached(params, x)
     logits = acts[-1]
-    grad_logits = np.empty_like(logits)
-    outs = []
-    for s in range(logits.shape[0]):
-        out = loss_fn(logits[s, :b], labels[s], loss_cfg, epoch)
-        grad_logits[s, :b] = out.grad_logits
-        outs.append(out)
-    if background is not None:
-        grad_logits[:, b:] = vacuous_evidence_penalty(logits[:, b:])[1]
-    grads_w, grads_b = backward(params, acts, grad_logits)
-    return outs, grads_w, grads_b
+    out = loss_fn(logits[:, :b], labels, loss_cfg, epoch)
+    grad_logits = out.grad_logits if background is None else np.concatenate(
+        [out.grad_logits, vacuous_evidence_penalty(logits[:, b:])[1]], axis=1)
+    return (out, *backward(params, acts, grad_logits))
 
 
 def train(train_x, train_y, val_x, val_y, cfg):
@@ -308,8 +302,8 @@ def train(train_x, train_y, val_x, val_y, cfg):
     One config returns (params, history).  A list of configs that differ
     only in ``seed`` returns one (params, history) per config, in order, each
     bit for bit what that config trained alone returns: the networks share
-    every forward and backward pass, and each keeps its own shuffles,
-    background draws, loss call and optimizer.
+    every forward pass, loss call, backward pass and optimizer step, and
+    each keeps its own shuffles and background draws.
 
     Shuffling is Fisher-Yates with a per-epoch derived seed, so runs are
     reproducible.  For the dappr loss each batch of b data rows is joined by
@@ -345,8 +339,7 @@ def train(train_x, train_y, val_x, val_y, cfg):
     histories = [TrainHistory() for _ in configs]
     loss_fn = _LOSS_FNS[first.loss_kind]
     loss_cfg = replace(first.loss, total_epochs=max(first.epochs, 1))
-    opt_cls = _Adam if first.optimizer == "adam" else _Sgd
-    opts = [opt_cls(row, first.learning_rate) for row in flat]
+    opt = (_Adam if first.optimizer == "adam" else _Sgd)(flat, first.learning_rate)
 
     n, d = train_x.shape
     vacuous = first.loss_kind == "dappr"
@@ -361,22 +354,23 @@ def train(train_x, train_y, val_x, val_y, cfg):
             background = np.stack([
                 centre + scale * np.random.default_rng([seed, 2, epoch]).standard_normal((n, d))
                 for seed in seeds])
-        epoch_loss = [0.0] * len(configs)
+        shuffled_x, shuffled_y = train_x[perms], train_y[perms]
+        epoch_loss = np.zeros(len(configs))
         for start in range(0, n, first.batch_size):
-            idx = perms[:, start:start + first.batch_size]
-            outs, grads_w, grads_b = _step_gradients(
-                params, train_x[idx], train_y[idx], loss_fn, loss_cfg, epoch,
-                background[:, start:start + idx.shape[1]] if vacuous else None)
+            rows = slice(start, start + first.batch_size)
+            labels = shuffled_y[:, rows]
+            out, grads_w, grads_b = _step_gradients(
+                params, shuffled_x[:, rows], labels, loss_fn, loss_cfg, epoch,
+                background[:, rows] if vacuous else None)
             flat_gradient(grads_w, grads_b, grad)
             if first.weight_decay > 0.0:
                 grad[:, :n_weights] += first.weight_decay * flat[:, :n_weights]
-            for s, (opt, out) in enumerate(zip(opts, outs)):
-                opt.step(flat[s], grad[s])
-                epoch_loss[s] += out.value * idx.shape[1]
+            opt.step(flat, grad)
+            epoch_loss += out.value * labels.shape[1]
 
         logits = forward(params, val_x)
         for s, history in enumerate(histories):
-            history.train_loss.append(epoch_loss[s] / n)
+            history.train_loss.append(float(epoch_loss[s]) / n)
             acc = float(np.mean(np.argmax(logits[s], axis=1) == val_y)) if val_y.size else 0.0
             history.val_accuracy.append(acc)
             history.val_mean_alpha0.append(

@@ -73,14 +73,16 @@ def _over_classes(ufunc, rows):
 
     numpy reduces a short last axis with one length-K inner loop per row;
     folding whole columns, ``out = ufunc(out, rows[..., j])``, makes K - 1
-    calls over the batch instead.  ``maximum`` and ``logical_or`` give the
-    same result in any order.  numpy adds fewer than 8 entries in sequence
-    from 0.0, which the fold repeats by starting from ``rows[..., 0] + 0.0``
-    (so an all ``-0.0`` row sums to ``+0.0``); from 8 entries on it adds with
-    eight partial sums, so ``add`` keeps numpy's reduce there.  A single
+    calls over the batch instead.  ``logical_or`` gives the same result in
+    any order.  numpy reduces fewer than 8 entries in sequence, ``add`` from
+    0.0, which the fold repeats by starting from ``rows[..., 0] + 0.0`` (so
+    an all ``-0.0`` row sums to ``+0.0``).  From 8 entries on it keeps eight
+    partial results, which set the rounding of a sum and the sign of a zero
+    maximum, so ``add`` and ``maximum`` keep numpy's reduce there.  A single
     vector keeps numpy's reduce too: folding it costs K calls on 0-d arrays.
     """
-    if rows.ndim < 2 or rows.shape[-1] == 0 or (ufunc is np.add and rows.shape[-1] >= 8):
+    if rows.ndim < 2 or rows.shape[-1] == 0 or (ufunc is not np.logical_or
+                                                and rows.shape[-1] >= 8):
         return ufunc.reduce(rows, axis=-1)
     out = rows[..., 0] + 0.0 if ufunc is np.add else rows[..., 0].copy()
     for j in range(1, rows.shape[-1]):

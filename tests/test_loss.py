@@ -68,6 +68,11 @@ def test_softplus_plus_one_head():
 def test_one_hot():
     got = one_hot(np.array([2, 0]), 3)
     assert np.array_equal(got, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+    for dtype in (np.int8, np.uint8, np.uint64):
+        assert np.array_equal(one_hot(np.array([2, 0], dtype=dtype), 3), got)
+    for bad in (np.array([-1], dtype=np.int8), np.array([2 ** 63 + 1], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="must lie in"):
+            one_hot(bad, 3)
     with pytest.raises(ValueError):
         one_hot(np.array([3]), 3)
 
@@ -75,6 +80,21 @@ def test_one_hot():
 def test_one_hot_rejects_timedelta_labels():
     with pytest.raises(ValueError, match="integers"):
         one_hot(np.array([2, 0], dtype="m8[s]"), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(0, 24), st.integers(0, 39),
+       st.integers(2, 10))
+def test_one_hot_of_a_stack_is_the_stack_of_one_hots(seed, s, b, k):
+    labels = np.random.default_rng(seed).integers(0, k, size=(s, b))
+    got = one_hot(labels, k)
+    assert got.shape == (s, b, k)
+    assert all(np.array_equal(got[i], one_hot(labels[i], k)) for i in range(s))
+
+
+def test_one_hot_needs_a_label_axis():
+    with pytest.raises(ValueError, match="at least one dimension"):
+        one_hot(np.int64(1), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +292,48 @@ def test_dappr_loss_input_validation():
         dappr_loss(np.zeros((1, 1)), np.array([0]), cfg)  # single class
     with pytest.raises(ValueError):
         dappr_loss(np.array([[np.inf, 0.0]]), np.array([0]), cfg)
+
+
+@pytest.mark.parametrize("loss_fn", [dappr_loss, cross_entropy_loss])
+@pytest.mark.parametrize("shape, labels", [
+    ((5, 3), [0]),            # one label would broadcast over 5 rows
+    ((1, 3), [0, 1, 2]),      # three labels for one row
+    ((5, 3), [0, 1]),         # two labels for five rows
+    ((2, 5, 3), [0] * 5),     # one label vector for a stack of batches
+    ((2, 5, 3), [[0] * 5]),   # one label row for two batches
+])
+def test_losses_need_one_label_per_row(loss_fn, shape, labels):
+    with pytest.raises(ValueError, match="does not match logits"):
+        loss_fn(np.zeros(shape), np.array(labels), LossConfig())
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 24), st.integers(1, 39),
+       st.integers(2, 10), st.sampled_from([0.0, 2e-3, 0.1]),
+       st.sampled_from(["constant", "warmup", "linear"]), st.integers(0, 20),
+       st.booleans())
+def test_stacked_losses_equal_each_batch_alone(seed, s, b, k, lam, schedule, epoch,
+                                               sliced):
+    # training scores a stack of batches in one call, sliced from the logits
+    # of the data and background rows; every field keeps each batch's bits
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, 3.0, size=(s, 2 * b if sliced else b, k))[:, :b]
+    labels = rng.integers(0, k, size=(s, b))
+    cfg = LossConfig(lam=lam, schedule=schedule, total_epochs=20)
+    for loss_fn in (dappr_loss, cross_entropy_loss):
+        stacked = loss_fn(logits, labels, cfg, epoch)
+        assert stacked.value.shape == (s,) and stacked.grad_logits.shape == (s, b, k)
+        for i in range(s):
+            alone = loss_fn(logits[i].copy(), labels[i], cfg, epoch)
+            assert type(alone.value) is float
+            for field in ("value", "surrogate_term", "regulariser", "grad_logits"):
+                got = getattr(stacked, field)
+                assert _same_bits(got[i] if np.ndim(got) else got, getattr(alone, field)), field
+            assert stacked.lam_t == alone.lam_t
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,7 @@ def class_axis_arrays(draw):
 @given(st.sampled_from([np.add, np.maximum, np.logical_or]), class_axis_arrays())
 @example(np.add, np.full((2, 3), -0.0))
 @example(np.add, np.full((2, 1), -0.0, order="F"))
+@example(np.maximum, np.array([[0.0] * 8 + [-0.0]]))
 def test_over_classes_is_numpys_reduce(ufunc, rows):
     if ufunc is np.logical_or:
         rows = rows != 0.0
