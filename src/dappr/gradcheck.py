@@ -1,10 +1,11 @@
 """Finite-difference oracles and the shared oracle battery.
 
-Central differences with h = 1e-5 in float64.  The surrogate loss treats the
-inner maximiser p* as a constant, so its oracle differentiates the loss with
-p* frozen at the unperturbed point; differentiating the recomputed-p* value
-would measure a different (envelope-style) derivative on purpose not
-implemented by the loss.
+Central differences with h = 1e-5 in float64; one gradient is one call of
+the value function on the stack of all 2N perturbed points.  The surrogate
+loss treats the inner maximiser p* as a constant, so its oracle
+differentiates the loss with p* frozen at the unperturbed point;
+differentiating the recomputed-p* value would measure a different
+(envelope-style) derivative on purpose not implemented by the loss.
 
 The battery functions below each draw one random case from the caller's
 generator and return the number its check bounds (a gap, an error, a
@@ -35,82 +36,63 @@ KINK_MARGIN = 1e-4
 
 
 def fd_gradient(f, x0: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of scalar f at x0, elementwise."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    grad = np.zeros_like(x0)
-    flat = grad.ravel()
-    base = x0.copy()
-    for i in range(base.size):
-        orig = base.ravel()[i]
-        base.ravel()[i] = orig + FD_STEP
-        up = f(base)
-        base.ravel()[i] = orig - FD_STEP
-        down = f(base)
-        base.ravel()[i] = orig
-        flat[i] = (up - down) / (2.0 * FD_STEP)
-    return grad
+    """Central-difference gradient of f at x0, elementwise, from one call of f.
 
-
-def frozen_pstar_objective(labels, cfg: LossConfig, epoch: int, p_star: np.ndarray):
-    """Surrogate batch value as a function of the logits, p* fixed externally.
-
-    Detach semantics: p* does not move with the logits.  The one-hot labels
-    and lam_t are built here once, not once per evaluation.
+    f takes a (2N, *x0.shape) stack of points, N = x0.size, and returns one
+    value per point; rows i and N + i move coordinate i by +h and -h.
     """
-    off = 1.0 - one_hot(labels, p_star.shape[1])
-    lam_t = lambda_schedule(cfg, epoch)
+    x0 = np.asarray(x0, dtype=np.float64)
+    points = np.tile(x0.ravel(), (2, x0.size, 1))
+    diag = np.arange(x0.size)
+    points[0, diag, diag] += FD_STEP
+    points[1, diag, diag] -= FD_STEP
+    up, down = np.reshape(f(points.reshape((2 * x0.size,) + x0.shape)), (2,) + x0.shape)
+    return (up - down) / (2.0 * FD_STEP)
 
-    def value(logits) -> float:
+
+def frozen_pstar_objective(base_logits, labels, cfg: LossConfig):
+    """Surrogate value of each (..., b, K) logits batch, p* frozen at the (b, K)
+    base_logits and lam_t the schedule's at epoch 0 (detach semantics)."""
+    y = one_hot(labels, np.shape(base_logits)[-1])
+    a_star = softplus(base_logits) + 1.0 - y + cfg.eps
+    p_star = a_star / a_star.sum(axis=-1, keepdims=True)
+    off = 1.0 - y
+    lam_t = lambda_schedule(cfg, 0)
+
+    def value(logits):
         alpha = softplus(np.asarray(logits, dtype=np.float64)) + 1.0
-        alpha0 = alpha.sum(axis=1)
-        surrogate = alpha0 * np.log(alpha0) + np.sum(alpha * np.log(p_star / alpha), axis=1)
-        pen = np.sum((alpha * off) ** 2, axis=1)
-        return float(surrogate.mean() + lam_t * pen.mean())
+        alpha0 = alpha.sum(axis=-1)
+        surrogate = alpha0 * np.log(alpha0) + np.sum(alpha * np.log(p_star / alpha), axis=-1)
+        pen = np.sum((alpha * off) ** 2, axis=-1)
+        return surrogate.mean(axis=-1) + lam_t * pen.mean(axis=-1)
 
     return value
 
 
-def base_p_star(logits, labels, cfg: LossConfig) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    y = one_hot(labels, z.shape[1])
-    alpha = softplus(z) + 1.0
-    a_star = alpha - y + cfg.eps
-    return a_star / a_star.sum(axis=1, keepdims=True)
-
-
-def dappr_loss_fd_gradient(logits, labels, cfg: LossConfig, epoch: int = 0) -> np.ndarray:
+def dappr_loss_fd_gradient(logits, labels, cfg: LossConfig) -> np.ndarray:
     """FD gradient of the surrogate loss wrt logits, p* frozen at the base."""
-    p0 = base_p_star(logits, labels, cfg)
-    return fd_gradient(frozen_pstar_objective(labels, cfg, epoch, p0),
-                       np.asarray(logits, dtype=np.float64))
+    return fd_gradient(frozen_pstar_objective(logits, labels, cfg), logits)
 
 
-def vacuous_penalty_value(logits) -> float:
-    """Vacuous-evidence penalty: weight * mean over rows of sum_k (alpha_k - 1)^2."""
+def vacuous_penalty_value(logits):
+    """Vacuous-evidence penalty per batch: weight * row mean of sum_k (alpha_k - 1)^2."""
     alpha = softplus(np.asarray(logits, dtype=np.float64)) + 1.0
-    return float(VACUOUS_WEIGHT * np.mean(np.sum((alpha - 1.0) ** 2, axis=1)))
-
-
-def vacuous_penalty_fd_gradient(logits) -> np.ndarray:
-    """FD gradient of the vacuous-evidence penalty wrt logits."""
-    return fd_gradient(vacuous_penalty_value, np.asarray(logits, dtype=np.float64))
+    return VACUOUS_WEIGHT * np.mean(np.sum((alpha - 1.0) ** 2, axis=-1), axis=-1)
 
 
 def network_fd_gradient(params: NetworkParams, x, value_fn) -> np.ndarray:
     """FD gradient of value_fn(logits) wrt all weights and biases.
 
-    value_fn maps a logits batch to a scalar; for the surrogate loss pass a
-    closure with p* already frozen.  The perturbations go to a packed copy
-    of params (pack_network's buffer order, as flat_gradient's), so params
-    itself is never written.
+    The 2P perturbed networks are one pack_network stack (flat_gradient's
+    order) with one forward; value_fn maps its (2P, n, K) logits to one
+    value per network.  params itself is never written.
     """
-    flat, packed = pack_network(params)
+    def values(thetas):
+        flat, stack = pack_network(params, copies=len(thetas))
+        flat[...] = thetas
+        return value_fn(forward(stack, x))
 
-    def f(theta):
-        flat[...] = theta
-        return value_fn(forward(packed, x))
-
-    return fd_gradient(f, flat)
+    return fd_gradient(values, pack_network(params)[0])
 
 
 def step_fd_gradient(params: NetworkParams, x, labels, cfg: LossConfig,
@@ -123,12 +105,11 @@ def step_fd_gradient(params: NetworkParams, x, labels, cfg: LossConfig,
     """
     b = len(x)
     rows = x if background is None else np.vstack([x, background])
-    data_value = frozen_pstar_objective(
-        labels, cfg, 0, base_p_star(forward(params, rows)[:b], labels, cfg))
+    data_value = frozen_pstar_objective(forward(params, rows)[:b], labels, cfg)
 
     def value(logits):
-        data = data_value(logits[:b])
-        return data if background is None else data + vacuous_penalty_value(logits[b:])
+        data = data_value(logits[..., :b, :])
+        return data if background is None else data + vacuous_penalty_value(logits[..., b:, :])
 
     return network_fd_gradient(params, rows, value)
 
@@ -206,13 +187,14 @@ def loss_gradient_error(rng, cfg: LossConfig) -> float:
     z = rng.normal(0.0, 2.0, size=(4, 3))
     labels = rng.integers(0, 3, size=4)
     return relative_error(dappr_loss(z, labels, cfg, 0).grad_logits,
-                          dappr_loss_fd_gradient(z, labels, cfg, 0))
+                          dappr_loss_fd_gradient(z, labels, cfg))
 
 
 def penalty_gradient_error(rng) -> float:
     """vacuous_evidence_penalty's logit gradient against its FD oracle."""
     z = rng.normal(0.0, 2.0, size=(4, 3))
-    return relative_error(vacuous_evidence_penalty(z)[1], vacuous_penalty_fd_gradient(z))
+    return relative_error(vacuous_evidence_penalty(z)[1],
+                          fd_gradient(vacuous_penalty_value, z))
 
 
 def step_gradient_error(rng, background: bool) -> float:

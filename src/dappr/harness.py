@@ -287,10 +287,16 @@ def _fit(cfg: ExperimentConfig, seeds, train_ds: LabeledDataset,
                  configs)
 
 
-def _ood_sets(cfg: ExperimentConfig, n_default: int) -> dict[str, np.ndarray]:
-    """Every configured OOD set by its report name, in config order."""
-    return {name: generate_ood(cfg, spec, n_default)
+def _ood_sets(cfg: ExperimentConfig, test_ds: LabeledDataset) -> dict[str, np.ndarray]:
+    """Every configured OOD set by its report name, in config order; a set
+    not as wide as the data fails here, before anything trains."""
+    sets = {name: generate_ood(cfg, spec, test_ds.n)
             for name, spec in zip(ood_names(cfg), cfg.ood)}
+    for name, x in sets.items():
+        if x.shape[1] != test_ds.dim:
+            raise ValueError(f"ood set {name!r} has {x.shape[1]} features, "
+                             f"the data has {test_ds.dim}")
+    return sets
 
 
 def model_uncertainties(params: NetworkParams, x: np.ndarray):
@@ -521,7 +527,7 @@ def run_eval(cfg: ExperimentConfig, outdir: Path, checkpoint_path) -> dict:
 def run_standard(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Train every seed as one stack, evaluate ID metrics and OOD detection."""
     train_ds, val_ds, test_ds = make_splits(cfg)
-    ood_sets = _ood_sets(cfg, test_ds.n)
+    ood_sets = _ood_sets(cfg, test_ds)
 
     scored = _fit_and_score(cfg, train_ds, val_ds, test_ds, ood_sets)
     for seed, params, _, _ in scored:
@@ -613,7 +619,7 @@ def run_longtail(cfg: ExperimentConfig, outdir: Path) -> dict:
 def run_lambda_sweep(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Regulariser-weight sweep: accuracy and OOD detection per lambda."""
     train_ds, val_ds, test_ds = make_splits(cfg)
-    ood_sets = _ood_sets(cfg, test_ds.n)
+    ood_sets = _ood_sets(cfg, test_ds)
     if not ood_sets:
         raise ValueError("lambda sweep needs at least one ood entry")
     first = next(iter(ood_sets))

@@ -84,11 +84,6 @@ def softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) as 1 - exp(-softplus(z)), overflow-safe both ways."""
-    return -np.expm1(-softplus(z))
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a (..., K) logit array, shift-stabilised."""
     shifted = z - _over_classes(np.maximum, z)[..., None]

@@ -695,6 +695,20 @@ def test_cli_eval_rejects_truncated_checkpoint(tmp_path, capsys):
     assert "malformed checkpoint" in line
 
 
+def test_cli_ood_set_narrower_than_data_exits_one_before_training(tmp_path, capsys):
+    # the OOD generators draw 2-feature rows for a CSV dataset
+    rng = np.random.default_rng(3)
+    save_csv(LabeledDataset(rng.normal(size=(60, 3)), np.arange(60) % 3, 3),
+             tmp_path / "data.csv")
+    cfg = tiny_config(tmp_path, dataset={"kind": "csv", "path": str(tmp_path / "data.csv")})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    assert main(["ood", "--config", str(cfg_path)]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert "'uniform_box' has 2 features, the data has 3" in line
+    assert not list((tmp_path / "out").glob("checkpoint*"))
+
+
 def test_cli_ood_runner_and_lambda_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

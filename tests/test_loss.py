@@ -15,13 +15,13 @@ from dappr.loss import (
     lambda_schedule,
     multi_observation_maximiser,
     one_hot,
-    sigmoid,
     softmax,
     softplus,
     softplus_plus_one,
     vacuous_evidence_penalty,
 )
 from dappr.possibility import DirichletParams, simplex_grid
+from oracles import central_difference
 
 
 # ---------------------------------------------------------------------------
@@ -35,15 +35,6 @@ def test_softplus_values_and_stability():
     z = np.array([-30.0, -1.0, 0.0, 1.0, 30.0])
     assert np.all(np.isfinite(softplus(z)))
     assert np.all(softplus(z) > 0.0) or softplus(np.array([-800.0]))[0] == 0.0
-
-
-def test_sigmoid_matches_softplus_derivative():
-    z = np.linspace(-6, 6, 41)
-    h = 1e-6
-    fd = (softplus(z + h) - softplus(z - h)) / (2 * h)
-    assert np.max(np.abs(sigmoid(z) - fd)) < 1e-9
-    assert sigmoid(np.array([800.0]))[0] == 1.0
-    assert sigmoid(np.array([-800.0]))[0] == 0.0
 
 
 def test_softmax_rows_and_stability():
@@ -261,8 +252,32 @@ def test_dappr_gradient_matches_frozen_pstar_fd(seed, lam):
     labels = rng.integers(0, 3, size=3)
     cfg = LossConfig(lam=lam)
     analytic = dappr_loss(z, labels, cfg, 0).grad_logits
-    fd = gradcheck.dappr_loss_fd_gradient(z, labels, cfg, 0)
+    fd = gradcheck.dappr_loss_fd_gradient(z, labels, cfg)
     assert gradcheck.relative_error(analytic, fd) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 4), (2, 3, 2)])
+def test_stacked_fd_equals_scalar_central_difference(shape):
+    # fd_gradient perturbs every coordinate in one stack and makes one call;
+    # the scalar oracle moves one coordinate of a list per pair of calls
+    rng = np.random.default_rng(7)
+    x0 = rng.normal(size=shape)
+    weights = rng.normal(size=shape)
+
+    def point_value(point):
+        p = np.asarray(point, dtype=np.float64).reshape(shape)
+        return np.sum(weights * np.sin(p) * p) + np.prod(np.cos(p))
+
+    def values(points):
+        assert points.shape == (2 * x0.size,) + shape
+        return np.array([point_value(p) for p in points])
+
+    got = gradcheck.fd_gradient(values, x0)
+    assert got.shape == shape
+    flat = x0.ravel().tolist()
+    for i in range(x0.size):
+        want = central_difference(point_value, flat, i, gradcheck.FD_STEP)
+        assert got.ravel()[i].tobytes() == np.float64(want).tobytes(), i
 
 
 def test_detach_semantics_differ_from_full_derivative():
@@ -274,13 +289,13 @@ def test_detach_semantics_differ_from_full_derivative():
     cfg = LossConfig(lam=0.0)
     analytic = dappr_loss(z, labels, cfg, 0).grad_logits
 
-    frozen_fd = gradcheck.dappr_loss_fd_gradient(z, labels, cfg, 0)
+    frozen_fd = gradcheck.dappr_loss_fd_gradient(z, labels, cfg)
     assert gradcheck.relative_error(analytic, frozen_fd) < 1e-7
 
-    def full_value(flat):
-        return dappr_loss(flat.reshape(1, 3), labels, cfg, 0).value
+    def full_value(zs):
+        return dappr_loss(zs, np.broadcast_to(labels, zs.shape[:-1]), cfg, 0).value
 
-    naive_fd = gradcheck.fd_gradient(full_value, z.ravel().copy()).reshape(1, 3)
+    naive_fd = gradcheck.fd_gradient(full_value, z)
     assert gradcheck.relative_error(analytic, naive_fd) > 1e-3
 
 
@@ -359,7 +374,7 @@ def test_vacuous_penalty_vanishes_at_flat_dirichlet():
 def test_vacuous_penalty_gradient_matches_fd(seed):
     z = np.random.default_rng(seed).normal(0.0, 2.0, size=(3, 3))
     _, analytic = vacuous_evidence_penalty(z)
-    fd = gradcheck.vacuous_penalty_fd_gradient(z)
+    fd = gradcheck.fd_gradient(gradcheck.vacuous_penalty_value, z)
     assert gradcheck.relative_error(analytic, fd) < 1e-6
 
 
@@ -404,10 +419,10 @@ def test_cross_entropy_value_and_gradient():
     assert out.value == pytest.approx(want, abs=1e-12)
     assert out.regulariser == 0.0
 
-    def value(flat):
-        return cross_entropy_loss(flat.reshape(6, 4), labels).value
+    def value(zs):
+        return cross_entropy_loss(zs, np.broadcast_to(labels, zs.shape[:-1])).value
 
-    fd = gradcheck.fd_gradient(value, z.ravel().copy()).reshape(6, 4)
+    fd = gradcheck.fd_gradient(value, z)
     assert gradcheck.relative_error(out.grad_logits, fd) < 1e-7
 
 

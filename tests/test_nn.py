@@ -197,7 +197,8 @@ def test_end_to_end_gradients_match_fd(loss_kind, sizes):
     else:
         out = cross_entropy_loss(acts[-1], labels, cfg, 0)
         fd = gradcheck.network_fd_gradient(
-            params, x, lambda logits: cross_entropy_loss(logits, labels, cfg, 0).value)
+            params, x, lambda logits: cross_entropy_loss(
+                logits, np.broadcast_to(labels, logits.shape[:-1]), cfg, 0).value)
 
     grads_w, grads_b = backward(params, acts, out.grad_logits)
     analytic = flat_gradient(grads_w, grads_b)
@@ -253,11 +254,38 @@ def test_network_fd_gradient_leaves_params_untouched():
 
     def value_fn(logits):
         assert [a.tobytes() for a in arrays] == before
-        return float(np.sum(logits ** 2))
+        return np.sum(logits ** 2, axis=(-2, -1))
 
     gradcheck.network_fd_gradient(params, x, value_fn)
     assert all(a is b for a, b in zip(params.weights + params.biases, arrays))
     assert [a.tobytes() for a in arrays] == before
+
+
+def test_network_fd_gradient_equals_a_loop_over_one_network():
+    # one stacked forward over every perturbed network against moving one
+    # coordinate of a single packed network at a time, bit for bit
+    rng = np.random.default_rng(45)
+    params = init_network((3, 16, 8, 4), seed=11)
+    x = rng.normal(size=(6, 3))
+    labels = rng.integers(0, 4, size=6)
+    value_fn = gradcheck.frozen_pstar_objective(forward(params, x), labels,
+                                                LossConfig(lam=2e-3))
+    got = gradcheck.network_fd_gradient(params, x, value_fn)
+
+    flat, packed = pack_network(params)
+    h = gradcheck.FD_STEP
+    want = np.empty_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = value_fn(forward(packed, x))
+        flat[i] = orig - h
+        down = value_fn(forward(packed, x))
+        flat[i] = orig
+        want[i] = (up - down) / (2.0 * h)
+    assert flat.size == 236
+    assert got.tobytes() == want.tobytes()
+
 
 def test_relu_blocks_gradient_through_dead_units():
     # one hidden unit driven permanently negative must keep zero gradient
