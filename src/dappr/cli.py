@@ -76,8 +76,7 @@ def main(argv=None) -> int:
                               schedule=args.schedule, eps=args.eps)
         extra = (args.checkpoint,) if args.command == "eval" else ()
         report = _RUNNERS[args.command](cfg, *extra)
-        summary = {k: report[k] for k in ("experiment",) if k in report}
-        print(json.dumps({**summary, "out": cfg.out}))
+        print(json.dumps({"experiment": report["experiment"], "out": cfg.out}))
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

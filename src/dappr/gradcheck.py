@@ -21,8 +21,8 @@ import numpy as np
 from .loss import (VACUOUS_WEIGHT, LossConfig, closed_form_maximiser,
                    dappr_loss, lambda_schedule, one_hot, softplus,
                    vacuous_evidence_penalty)
-from .nn import (NetworkParams, _forward_cached, _step_gradients,
-                 flat_gradient, forward, init_network, pack_network)
+from .nn import (NetworkParams, _forward_cached, _step_gradients, forward,
+                 init_network, pack_network)
 from .possibility import (DirichletParams, PossibilityTable, SimplexGrid,
                           dirichlet_mode, grid_argmax_surrogate,
                           log_dirichlet_possibility, maxitive_divergence,
@@ -83,9 +83,10 @@ def vacuous_penalty_value(logits):
 def network_fd_gradient(params: NetworkParams, x, value_fn) -> np.ndarray:
     """FD gradient of value_fn(logits) wrt all weights and biases.
 
-    The 2P perturbed networks are one pack_network stack (flat_gradient's
-    order) with one forward; value_fn maps its (2P, n, K) logits to one
-    value per network.  params itself is never written.
+    The 2P perturbed networks are one pack_network stack with one forward,
+    so the gradient is in pack_network's order; value_fn maps its
+    (2P, n, K) logits to one value per network.  params itself is never
+    written.
     """
     def values(thetas):
         flat, stack = pack_network(params, copies=len(thetas))
@@ -101,7 +102,7 @@ def step_fd_gradient(params: NetworkParams, x, labels, cfg: LossConfig,
 
     The value is the frozen-p* surrogate on the data rows x plus, when
     background rows are given, the vacuous-evidence penalty on them, all
-    through one network; flat in flat_gradient's order.
+    through one network; flat in pack_network's order.
     """
     b = len(x)
     rows = x if background is None else np.vstack([x, background])
@@ -214,7 +215,7 @@ def step_gradient_error(rng, background: bool) -> float:
             break
     # training's step on a stack of one network
     _, stack = pack_network(params, copies=1)
-    _, grads_w, grads_b = _step_gradients(stack, x[None], labels[None], dappr_loss, cfg,
-                                          0, None if bg is None else bg[None])
-    return relative_error(flat_gradient(grads_w, grads_b)[0],
-                          step_fd_gradient(params, x, labels, cfg, bg))
+    grad, grads = pack_network(params, copies=1)
+    _step_gradients(stack, x[None], labels[None], dappr_loss, cfg, 0, grads,
+                    None if bg is None else bg[None])
+    return relative_error(grad[0], step_fd_gradient(params, x, labels, cfg, bg))

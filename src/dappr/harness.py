@@ -34,8 +34,8 @@ from .metrics import (aleatoric_uncertainty, aupr, auroc, ece,
                       epistemic_uncertainty, reliability_bins,
                       softmax_entropy)
 from .nn import (NetworkParams, TrainConfig, _Adam, _forward_cached, backward,
-                 flat_gradient, forward, init_network, load_checkpoint,
-                 pack_network, save_checkpoint, train)
+                 forward, init_network, load_checkpoint, pack_network,
+                 save_checkpoint, train)
 from .possibility import (DirichletParams, SimplexPoint, _over_classes,
                           dirichlet_possibility, log_dirichlet_possibility,
                           simplex_grid)
@@ -96,10 +96,16 @@ class ProbeSpec:
     finetune_lr: float = 1e-4
     seed: int = 17
 
+    def __post_init__(self):
+        for key in ("n_probed", "n_perturbations", "finetune_epochs"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"probe.{key} must be >= 1, got {getattr(self, key)}")
+        if self.finetune_lr <= 0.0:
+            raise ValueError(f"probe.finetune_lr must be > 0, got {self.finetune_lr}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str = "standard"
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     split_seed: int = 3
@@ -655,7 +661,7 @@ def _soft_label_finetune(params: NetworkParams, rest_x, rest_y, forced_x,
     """
     copies = forced_targets.shape[0]
     flat, tuned = pack_network(params, copies=copies)
-    grad = np.empty_like(flat)
+    grad, grads = pack_network(params, copies=copies)
     opt = _Adam(flat, probe.finetune_lr)
     n = rest_x.shape[0]
     k = tuned.layer_sizes[-1]
@@ -670,8 +676,8 @@ def _soft_label_finetune(params: NetworkParams, rest_x, rest_y, forced_x,
             targets[:, -1] = forced_targets
             acts = _forward_cached(tuned, xb)
             delta = (softmax(acts[-1]) - targets) / xb.shape[0]
-            grads_w, grads_b = backward(tuned, acts, delta)
-            opt.step(flat, flat_gradient(grads_w, grads_b, grad))
+            backward(tuned, acts, delta, grads)
+            opt.step(flat, grad)
     return tuned
 
 

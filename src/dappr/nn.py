@@ -4,14 +4,16 @@ ReLU hidden layers, identity output layer, float64 throughout.  No autodiff:
 the loss modules supply analytic logit gradients and this module chains them
 through the layers.  Training is bit-for-bit reproducible for a given seed.
 
-Parameters live in one flat float64 buffer (``pack_network``).  A stack of S
-networks is an (S, block) buffer, model-major, whose per-layer views carry a
-leading network axis; the forward and backward pass take a stack as they
-take one network.  ``train`` trains a list of configs that differ only in
-seed as one stack: one forward, loss call, backward and optimizer step per
-step for all of them.  The loss and the optimizer work row by row and each
-network keeps its own shuffles and background draws, so every network gets
-the bits it would get trained alone.
+Parameters live in one flat float64 buffer (``pack_network``), gradients in
+a second one of the same layout that ``backward`` writes through its views
+and the optimizer takes whole.  A stack of S networks is an (S, block)
+buffer, model-major, whose per-layer views carry a leading network axis;
+the forward and backward pass take a stack as they take one network.
+``train`` trains a list of configs that differ only in seed as one stack:
+one forward, loss call, backward and optimizer step per step for all of
+them.  The loss and the optimizer work row by row and each network keeps
+its own shuffles and background draws, so every network gets the bits it
+would get trained alone.
 
 With the concentration head, every training step also draws background
 inputs from a broad Gaussian around the training inputs and fits the
@@ -146,17 +148,6 @@ def network_slice(params: NetworkParams, s: int) -> NetworkParams:
                    biases=[b[s, 0] for b in params.biases])
 
 
-def flat_gradient(grads_w, grads_b, out: np.ndarray | None = None) -> np.ndarray:
-    """backward's gradients in pack_network's buffer order.
-
-    (block,) for one network, (S, block) for a stack.  Written into ``out``
-    when given, so a training loop reuses one buffer.
-    """
-    lead = grads_b[0].shape[:-1]
-    return np.concatenate([g.reshape(lead + (-1,)) for g in grads_w + grads_b],
-                          axis=-1, out=out)
-
-
 def _forward_cached(params: NetworkParams, x: np.ndarray) -> list[np.ndarray]:
     """Every layer's output, inputs first: [x, hidden..., logits].
 
@@ -198,25 +189,22 @@ def forward(params: NetworkParams, x) -> np.ndarray:
     return out
 
 
-def backward(params: NetworkParams, acts, grad_logits):
-    """Weight and bias gradients from a logit gradient (chain rule only).
+def backward(params: NetworkParams, acts, grad_logits, grads: NetworkParams) -> None:
+    """Weight and bias gradients of a logit gradient, written into ``grads``.
 
-    ``acts`` is _forward_cached's list.  A unit's relu passed the gradient
-    exactly where its output is positive, the same mask as a positive
-    pre-activation.  Works for one network or a stack from
-    pack_network(copies=S); a stack's gradients are (S, n_in, n_out) and
-    (S, n_out).
+    Chain rule only.  ``acts`` is _forward_cached's list; ``grads`` are the
+    views pack_network returns over a gradient buffer laid out like params.
+    A unit's relu passed the gradient exactly where its output is positive,
+    the same mask as a positive pre-activation.  Works for one network or a
+    stack from pack_network(copies=S), whose bias views are (S, 1, n_out).
     """
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
     delta = grad_logits
     for i in range(len(params.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].swapaxes(-1, -2) @ delta
-        grads_b[i] = delta.sum(axis=-2)
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=grads.weights[i])
+        delta.sum(axis=-2, keepdims=delta.ndim > 2, out=grads.biases[i])
         if i > 0:
             delta = delta @ params.weights[i].swapaxes(-1, -2)
             delta *= acts[i] > 0.0
-    return grads_w, grads_b
 
 
 class _Adam:
@@ -275,15 +263,16 @@ def background_law(train_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _step_gradients(params: NetworkParams, x, labels, loss_fn, loss_cfg,
-                    epoch: int, background=None):
-    """Loss output and weight/bias gradients of one training step of a stack.
+                    epoch: int, grads: NetworkParams, background=None):
+    """Loss output of one training step of a stack; its gradient goes to ``grads``.
 
-    ``params`` is a stack from pack_network(copies=S), ``x`` (S, b, d) and
-    ``labels`` (S, b), one set of rows per network; one ``loss_fn`` call
-    scores the (S, b, K) data logits.  ``background`` rows (S, b, d), when
-    given, share the forward/backward pass with the data rows and carry the
-    vacuous-evidence penalty, one call for the stack.  Returns (the loss
-    output, one value per network over its data rows, grads_w, grads_b).
+    ``params`` is a stack from pack_network(copies=S), ``grads`` backward's
+    views, ``x`` (S, b, d) and ``labels`` (S, b), one set of rows per
+    network; one ``loss_fn`` call scores the (S, b, K) data logits.
+    ``background`` rows (S, b, d), when given, share the forward/backward
+    pass with the data rows and carry the vacuous-evidence penalty, one call
+    for the stack.  Returns the loss output, one value per network over its
+    data rows.
     """
     b = x.shape[1]
     if background is not None:
@@ -293,7 +282,8 @@ def _step_gradients(params: NetworkParams, x, labels, loss_fn, loss_cfg,
     out = loss_fn(logits[:, :b], labels, loss_cfg, epoch)
     grad_logits = out.grad_logits if background is None else np.concatenate(
         [out.grad_logits, vacuous_evidence_penalty(logits[:, b:])[1]], axis=1)
-    return (out, *backward(params, acts, grad_logits))
+    backward(params, acts, grad_logits, grads)
+    return out
 
 
 def train(train_x, train_y, val_x, val_y, cfg):
@@ -334,7 +324,7 @@ def train(train_x, train_y, val_x, val_y, cfg):
     flat, params = pack_network(nets[0], copies=len(nets))
     for row, net in zip(flat, nets):
         row[...] = pack_network(net)[0]
-    grad = np.empty_like(flat)
+    grad, grads = pack_network(nets[0], copies=len(nets))
     n_weights = sum(w.size for w in nets[0].weights)
     histories = [TrainHistory() for _ in configs]
     loss_fn = _LOSS_FNS[first.loss_kind]
@@ -359,10 +349,8 @@ def train(train_x, train_y, val_x, val_y, cfg):
         for start in range(0, n, first.batch_size):
             rows = slice(start, start + first.batch_size)
             labels = shuffled_y[:, rows]
-            out, grads_w, grads_b = _step_gradients(
-                params, shuffled_x[:, rows], labels, loss_fn, loss_cfg, epoch,
-                background[:, rows] if vacuous else None)
-            flat_gradient(grads_w, grads_b, grad)
+            out = _step_gradients(params, shuffled_x[:, rows], labels, loss_fn, loss_cfg,
+                                  epoch, grads, background[:, rows] if vacuous else None)
             if first.weight_decay > 0.0:
                 grad[:, :n_weights] += first.weight_decay * flat[:, :n_weights]
             opt.step(flat, grad)

@@ -13,15 +13,15 @@ EXPECTED_PATH = "tests/data/expected_results.json"
 
 def scaling_config(out: str) -> ExperimentConfig:
     # default blobs task; the 0.8 train split of 1200 points covers size 800
-    return config_from_dict({"experiment": "scaling", "out": out})
+    return config_from_dict({"out": out})
 
 
 def standard_config(out: str) -> ExperimentConfig:
-    return config_from_dict({"experiment": "standard", "out": out})
+    return config_from_dict({"out": out})
 
 
 def sweep_config(out: str) -> ExperimentConfig:
-    return config_from_dict({"experiment": "sweep", "out": out})
+    return config_from_dict({"out": out})
 
 
 def probe_config(out: str) -> ExperimentConfig:
@@ -29,7 +29,6 @@ def probe_config(out: str) -> ExperimentConfig:
     # leave-one-out loss the ratio divides by is not numerically zero.
     # 3 x 167 = 501 training points; 20 probed samples.
     return config_from_dict({
-        "experiment": "probe",
         "dataset": {"n_classes": 3, "n_per_class": 167, "spread": 2.5, "seed": 7},
         "out": out,
     })

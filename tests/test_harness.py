@@ -37,16 +37,16 @@ from dappr.nn import NetworkParams, forward, save_checkpoint, train
 from oracles import row_uncertainties, soft_label_finetune, total_cross_entropy
 
 
+TINY_CONFIG = {
+    "dataset": {"n_classes": 3, "n_per_class": 20, "n_features": 2,
+                "spread": 1.0, "seed": 7},
+    "model": {"hidden": [8], "epochs": 3, "batch_size": 16},
+    "seeds": [1],
+}
+
+
 def tiny_config(tmp_path, **overrides):
-    base = {
-        "dataset": {"n_classes": 3, "n_per_class": 20, "n_features": 2,
-                    "spread": 1.0, "seed": 7},
-        "model": {"hidden": [8], "epochs": 3, "batch_size": 16},
-        "seeds": [1],
-        "out": str(tmp_path / "out"),
-    }
-    base.update(overrides)
-    return config_from_dict(base)
+    return config_from_dict({**TINY_CONFIG, "out": str(tmp_path / "out"), **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +678,32 @@ def test_cli_wrong_config_type_exits_one(tmp_path, capsys):
     assert main(["train", "--config", str(cfg_path)]) == 1
     line = _single_error_line(capsys.readouterr().err)
     assert "model.epochs" in line
+
+
+@pytest.mark.parametrize("key, value", [("n_probed", 0), ("n_perturbations", 0),
+                                        ("finetune_epochs", -3), ("finetune_lr", -1e-4),
+                                        ("finetune_lr", 0.0)])
+def test_cli_rejects_probe_settings_that_cannot_run(tmp_path, capsys, key, value):
+    # unchecked, n_probed 0 wrote a NaN median into report.json, negative
+    # epochs gave every sample s_x = 0 and a negative rate ran gradient ascent
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, "probe": {key: value},
+                                    "out": str(tmp_path / "out")}))
+    assert main(["probe", "--config", str(cfg_path)]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert f"probe.{key} must be" in line
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_the_experiment_key(tmp_path, capsys):
+    # the runner is the subcommand; a config naming another one is refused
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, "experiment": "probe",
+                                    "out": str(tmp_path / "out")}))
+    assert main(["ood", "--config", str(cfg_path)]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert line == "error: unknown config keys: ['experiment']"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_eval_rejects_truncated_checkpoint(tmp_path, capsys):

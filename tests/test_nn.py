@@ -20,7 +20,6 @@ from dappr.nn import (
     _step_gradients,
     backward,
     background_law,
-    flat_gradient,
     forward,
     init_network,
     load_checkpoint,
@@ -200,9 +199,9 @@ def test_end_to_end_gradients_match_fd(loss_kind, sizes):
             params, x, lambda logits: cross_entropy_loss(
                 logits, np.broadcast_to(labels, logits.shape[:-1]), cfg, 0).value)
 
-    grads_w, grads_b = backward(params, acts, out.grad_logits)
-    analytic = flat_gradient(grads_w, grads_b)
-    assert gradcheck.relative_error(analytic, fd) < 1e-4
+    grad, grads = pack_network(params)
+    backward(params, acts, out.grad_logits, grads)
+    assert gradcheck.relative_error(grad, fd) < 1e-4
 
 
 @pytest.mark.parametrize("sizes", [(2, 3), (2, 8, 3), (3, 16, 8, 4)])
@@ -216,14 +215,14 @@ def test_training_step_with_background_matches_fd(sizes):
 
     # training's step on a stack of one network
     _, stack = pack_network(params, copies=1)
-    out, grads_w, grads_b = _step_gradients(stack, x[None], labels[None], dappr_loss,
-                                            cfg, 0, background[None])
+    grad, grads = pack_network(params, copies=1)
+    out = _step_gradients(stack, x[None], labels[None], dappr_loss, cfg, 0, grads,
+                          background[None])
     data_logits = forward(params, x)
     assert out.value[0] == pytest.approx(dappr_loss(data_logits, labels, cfg, 0).value,
                                          rel=1e-12)
-    analytic = flat_gradient(grads_w, grads_b)[0]
     fd = gradcheck.step_fd_gradient(params, x, labels, cfg, background)
-    assert gradcheck.relative_error(analytic, fd) < 1e-4
+    assert gradcheck.relative_error(grad[0], fd) < 1e-4
 
 
 def test_near_relu_kink_looks_at_hidden_units_only():
@@ -299,10 +298,11 @@ def test_relu_blocks_gradient_through_dead_units():
     x = np.array([[0.5]])
     acts = _forward_cached(p, x)
     out = cross_entropy_loss(acts[-1], np.array([0]), None, 0)
-    grads_w, grads_b = backward(p, acts, out.grad_logits)
-    assert grads_w[0][0, 1] == 0.0  # into the dead unit
-    assert grads_b[0][1] == 0.0
-    assert grads_w[1][1, 0] == 0.0 and grads_w[1][1, 1] == 0.0  # out of it
+    _, grads = pack_network(p)
+    backward(p, acts, out.grad_logits, grads)
+    assert grads.weights[0][0, 1] == 0.0  # into the dead unit
+    assert grads.biases[0][1] == 0.0
+    assert grads.weights[1][1, 0] == 0.0 and grads.weights[1][1, 1] == 0.0  # out of it
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +318,6 @@ def _stack(nets):
         for dst, src in zip(stack.biases, net.biases):
             dst[s, 0] = src
     return flat, stack
-
-
-def _offset(view, flat):
-    return (view.__array_interface__["data"][0]
-            - flat.__array_interface__["data"][0]) // flat.itemsize
 
 
 @pytest.mark.parametrize("copies", [None, 3])
@@ -344,30 +339,48 @@ def test_pack_network_views_one_buffer(copies):
     assert not np.shares_memory(flat, net.weights[0])
 
 
-@pytest.mark.parametrize("copies", [None, 3])
-def test_flat_gradient_order_matches_parameter_views(copies):
-    # row s of a stack's buffer, and of its gradient, is network s laid out
-    # as one network: every view of it is one contiguous run of that row
+def _plain_gradient(net, x, grad_logits):
+    """One network's weight and bias gradients by the textbook chain rule,
+    concatenated in pack_network's order: every weight, then every bias."""
+    hs = [x]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = hs[-1] @ w + b
+        hs.append(z if i == len(net.weights) - 1 else np.maximum(z, 0.0))
+    grads_w, grads_b, delta = [], [], grad_logits
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads_w.insert(0, hs[i].T @ delta)
+        grads_b.insert(0, delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (hs[i] > 0.0)
+    return np.concatenate([g.ravel() for g in grads_w + grads_b])
+
+
+@pytest.mark.parametrize("copies, own_rows", [(None, False), (3, False), (3, True)],
+                         ids=["one", "stack_shared_rows", "stack_own_rows"])
+def test_backward_writes_the_plain_chain_rule_into_the_buffer(copies, own_rows):
+    # backward writes every layer into its view of the gradient buffer, so
+    # the buffer is the textbook gradient in pack_network's order, bit for
+    # bit; row s of a stack's buffer is what network s gets run alone
     rng = np.random.default_rng(4)
-    flat, net = pack_network(init_network((2, 8, 8, 3), seed=1), copies=copies)
-    x = rng.normal(size=(7, 2))
-    acts = _forward_cached(net, x)
-    grads_w, grads_b = backward(net, acts, rng.normal(size=acts[-1].shape))
-    grad = flat_gradient(grads_w, grads_b, np.empty_like(flat))
-    assert grad.shape == flat.shape
-    for s in range(copies or 1):
-        if copies is None:
-            row, grad_row, one, grads = flat, grad, net, grads_w + grads_b
-        else:
-            row, grad_row, one = flat[s], grad[s], network_slice(net, s)
-            grads = [g[s] for g in grads_w + grads_b]
-        covered = 0
-        for view, g in zip(one.weights + one.biases, grads):
-            at = _offset(view, row)
-            assert view.flags.c_contiguous
-            assert np.array_equal(grad_row[at:at + view.size], g.reshape(-1))
-            covered += view.size
-        assert covered == row.size
+    nets = [init_network((2, 8, 8, 3), seed=s) for s in range(copies or 1)]
+    for net in nets:
+        net.biases = [rng.normal(size=b.shape) for b in net.biases]
+    params = nets[0] if copies is None else _stack(nets)[1]
+    x = rng.normal(size=(copies, 33, 2) if own_rows else (33, 2))
+    acts = _forward_cached(params, x)
+    grad_logits = rng.normal(size=acts[-1].shape)
+    grad, grads = pack_network(nets[0], copies=copies)
+    grad[...] = np.nan  # a view backward does not write keeps its NaNs
+    backward(params, acts, grad_logits, grads)
+    if copies is None:
+        assert grad.tobytes() == _plain_gradient(nets[0], x, grad_logits).tobytes()
+        return
+    for s, net in enumerate(nets):
+        rows = x[s] if own_rows else x
+        assert grad[s].tobytes() == _plain_gradient(net, rows, grad_logits[s]).tobytes()
+        alone, alone_grads = pack_network(net)
+        backward(net, _forward_cached(net, rows), grad_logits[s], alone_grads)
+        assert grad[s].tobytes() == alone.tobytes()
 
 
 def test_stack_buffer_is_model_major():
@@ -375,16 +388,10 @@ def test_stack_buffer_is_model_major():
     nets = [init_network((3, 16, 8, 4), seed=s) for s in range(3)]
     for net in nets:
         net.biases = [rng.normal(size=b.shape) for b in net.biases]
-    flat, stack = _stack(nets)
+    flat, _ = _stack(nets)
     assert flat.shape == (3, pack_network(nets[0])[0].size)
     for s, net in enumerate(nets):
         assert np.array_equal(flat[s], pack_network(net)[0])
-    grads_w = [rng.normal(size=w.shape) for w in stack.weights]
-    grads_b = [rng.normal(size=(3, b.shape[-1])) for b in stack.biases]
-    grad = flat_gradient(grads_w, grads_b)
-    for s in range(3):
-        assert np.array_equal(grad[s], flat_gradient([g[s] for g in grads_w],
-                                                     [g[s] for g in grads_b]))
 
 
 @pytest.mark.parametrize("copies", [None, 2])
@@ -395,14 +402,15 @@ def test_adam_on_packed_buffer_equals_per_array_adam(copies):
     flat, packed = pack_network(net, copies=copies)
     _, ref = pack_network(net, copies=copies)
     ref_arrays = [a.copy() for a in ref.weights + ref.biases]
-    grad = np.empty_like(flat)
+    grad, grad_views = pack_network(net, copies=copies)
     opt = _Adam(flat, 1e-2)
     textbook = TextbookAdam(ref_arrays, 1e-2)
     for step in range(50):
         grads = [rng.normal(0.0, 10.0 ** rng.integers(-3, 2), size=a.shape)
                  for a in ref_arrays]
-        grads_b = [g.reshape(g.shape[0], -1) if copies else g for g in grads[3:]]
-        opt.step(flat, flat_gradient(grads[:3], grads_b, grad))
+        for view, g in zip(grad_views.weights + grad_views.biases, grads):
+            view[...] = g
+        opt.step(flat, grad)
         textbook.step(ref_arrays, grads)
         assert all(np.array_equal(a, b)
                    for a, b in zip(packed.weights + packed.biases, ref_arrays)), step
@@ -429,11 +437,13 @@ def test_sgd_on_packed_buffer_equals_per_array_sgd():
     rng = np.random.default_rng(12)
     flat, packed = pack_network(init_network((3, 16, 8, 4), seed=2))
     ref_arrays = [a.copy() for a in packed.weights + packed.biases]
-    grad = np.empty_like(flat)
+    grad, grad_views = pack_network(packed)
     opt = _Sgd(flat, 1e-2)
     for _ in range(50):
         grads = [rng.normal(size=a.shape) for a in ref_arrays]
-        opt.step(flat, flat_gradient(grads[:3], grads[3:], grad))
+        for view, g in zip(grad_views.weights + grad_views.biases, grads):
+            view[...] = g
+        opt.step(flat, grad)
         for a, g in zip(ref_arrays, grads):
             a -= 1e-2 * g
     assert all(np.array_equal(a, b) for a, b in zip(packed.weights + packed.biases, ref_arrays))
@@ -449,15 +459,14 @@ def test_stacked_network_equals_each_network_alone(batch):
     x = rng.normal(size=(batch, 2))
     grad_logits = rng.normal(size=(3, batch, 3))
     acts = _forward_cached(stack, x)
-    grads_w, grads_b = backward(stack, acts, grad_logits)
-    assert [g.shape for g in grads_w] == [(3, 2, 32), (3, 32, 32), (3, 32, 3)]
-    assert [g.shape for g in grads_b] == [(3, 32), (3, 32), (3, 3)]
+    grad, grads = pack_network(nets[0], copies=3)
+    backward(stack, acts, grad_logits, grads)
     for s, net in enumerate(nets):
         acts_s = _forward_cached(net, x)
-        gw_s, gb_s = backward(net, acts_s, grad_logits[s])
+        grad_s, grads_s = pack_network(net)
+        backward(net, acts_s, grad_logits[s], grads_s)
         assert all(np.array_equal(a[s], b) for a, b in zip(acts[1:], acts_s[1:]))
-        assert all(np.array_equal(a[s], b) for a, b in zip(grads_w, gw_s))
-        assert all(np.array_equal(a[s], b) for a, b in zip(grads_b, gb_s))
+        assert np.array_equal(grad[s], grad_s)
         assert np.array_equal(forward(network_slice(stack, s), x), acts_s[-1])
 
 
@@ -621,7 +630,7 @@ def test_vacuous_term_lowers_evidence_off_the_data(monkeypatch):
 def _plain_cross_entropy_training(tx, ty, cfg):
     """train() for the cross-entropy head as a bare loop, without background."""
     flat, ref = pack_network(init_network(cfg.layer_sizes, cfg.seed, "cross_entropy"))
-    grad = np.empty_like(flat)
+    grad, grads = pack_network(ref)
     opt = _Adam(flat, cfg.learning_rate)
     for epoch in range(cfg.epochs):
         perm = np.random.default_rng([cfg.seed, 1, epoch]).permutation(tx.shape[0])
@@ -630,10 +639,10 @@ def _plain_cross_entropy_training(tx, ty, cfg):
             acts = _forward_cached(ref, tx[idx])
             out = cross_entropy_loss(acts[-1], ty[idx], LossConfig(total_epochs=cfg.epochs),
                                      epoch)
-            grads_w, grads_b = backward(ref, acts, out.grad_logits)
-            for w, gw in zip(ref.weights, grads_w):
+            backward(ref, acts, out.grad_logits, grads)
+            for w, gw in zip(ref.weights, grads.weights):
                 gw += cfg.weight_decay * w
-            opt.step(flat, flat_gradient(grads_w, grads_b, grad))
+            opt.step(flat, grad)
     return ref
 
 
