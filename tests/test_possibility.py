@@ -61,6 +61,78 @@ def test_possibility_table_requires_sup_one():
         PossibilityTable(np.array([0.2, 1.5]))
 
 
+_NOT_FINITE = {SimplexPoint: "probabilities must be finite",
+               DirichletParams: "concentrations must be finite",
+               PossibilityTable: "possibility values must be finite"}
+_BAD_VECTORS = {
+    "nan": [math.nan, 0.5, 0.5],
+    "+inf": [math.inf, 0.0, 0.0],
+    "-inf": [-math.inf, 1.0, 1.0],
+    "negative": [-0.25, 0.75, 0.5],
+    "above_one": [1.25, 0.0, 0.0],
+    "off_simplex": [0.5, 0.5, 0.25],
+    "too_few": [1.0],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("cls, kind, message", [
+    *[(cls, kind, msg) for cls, msg in _NOT_FINITE.items()
+      for kind in ("nan", "+inf", "-inf")],
+    (SimplexPoint, "negative", "probabilities must lie in [0, 1], got [-0.25  0.75  0.5 ]"),
+    (SimplexPoint, "above_one", "probabilities must lie in [0, 1], got [1.25 0.   0.  ]"),
+    (SimplexPoint, "off_simplex", "probabilities must sum to 1, got 1.25"),
+    (SimplexPoint, "too_few", "simplex points need at least 2 coordinates"),
+    (DirichletParams, "negative",
+     "concentrations must be non-negative, got [-0.25  0.75  0.5 ]"),
+    (DirichletParams, "too_few", "need at least 2 concentration entries"),
+    (PossibilityTable, "negative", "possibility values must lie in [0, 1]"),
+    (PossibilityTable, "above_one", "possibility values must lie in [0, 1]"),
+    (PossibilityTable, "off_simplex",
+     "table must be max-normalised to 1, got max np.float64(0.5)"),
+    (SimplexPoint, "empty", "probs must be non-empty"),
+    (DirichletParams, "empty", "alpha must be non-empty"),
+    (PossibilityTable, "empty", "values must be non-empty"),
+])
+def test_validator_message_for_one_vector(cls, kind, message):
+    assert _message(cls, np.array(_BAD_VECTORS[kind])) == message
+
+
+@pytest.mark.parametrize("cls, kind, message", [
+    *[(cls, kind, msg) for cls, msg in _NOT_FINITE.items()
+      if cls is not PossibilityTable for kind in ("nan", "+inf", "-inf")],
+    (SimplexPoint, "negative", "probabilities must lie in [0, 1], got [-0.25  0.75  0.5 ]"),
+    (SimplexPoint, "above_one", "probabilities must lie in [0, 1], got [1.25 0.   0.  ]"),
+    (SimplexPoint, "off_simplex", "probabilities must sum to 1, got 1.25"),
+    (DirichletParams, "negative",
+     "concentrations must be non-negative, got [-0.25  0.75  0.5 ]"),
+])
+def test_validator_message_for_a_batch_names_its_first_bad_row(cls, kind, message):
+    good = [0.25, 0.25, 0.5]
+    rows = np.array([[good, good], [_BAD_VECTORS[kind], good]])
+    assert _message(cls, rows) == message
+
+
+@pytest.mark.parametrize("cls, rows, message", [
+    # a non-finite entry anywhere is reported before an earlier row's range
+    (SimplexPoint, [[-0.25, 0.75, 0.5], [math.nan, 0.5, 0.5]], "probabilities must be finite"),
+    (DirichletParams, [[-0.25, 0.75, 0.5], [1.0, math.inf, 1.0]],
+     "concentrations must be finite"),
+    # and a row out of range before an earlier row off the simplex
+    (SimplexPoint, [[0.5, 0.5, 0.25], [1.25, 0.0, 0.0]],
+     "probabilities must lie in [0, 1], got [1.25 0.   0.  ]"),
+    # the first of two bad rows of one kind
+    (SimplexPoint, [[0.5, 0.75, 0.0], [0.5, 0.5, 0.25]], "probabilities must sum to 1, got 1.25"),
+    (DirichletParams, [[1.0, -0.5, 1.0], [-0.25, 0.75, 0.5]],
+     "concentrations must be non-negative, got [ 1.  -0.5  1. ]"),
+    (SimplexPoint, [[0.5], [1.0]], "simplex points need at least 2 coordinates"),
+    (DirichletParams, [[0.5], [1.0]], "need at least 2 concentration entries"),
+    (PossibilityTable, [[0.5, 1.0]], "values must be a 1-d vector, got shape (1, 2)"),
+])
+def test_validator_message_order_in_a_batch(cls, rows, message):
+    assert _message(cls, np.array(rows)) == message
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet possibility values
 
