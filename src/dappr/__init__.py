@@ -23,8 +23,8 @@ from .metrics import (ReliabilityBins, aleatoric_uncertainty, aupr, auroc,
 from .nn import (NetworkParams, TrainConfig, TrainHistory, background_law,
                  forward, init_network, load_checkpoint, predict_alpha,
                  predict_labels, save_checkpoint, train)
-from .possibility import (DirichletParams, PossibilityTable, SimplexGrid,
-                          SimplexPoint, dirichlet_mode, dirichlet_possibility,
+from .possibility import (DirichletParams, PossibilityTable, SimplexPoint,
+                          dirichlet_mode, dirichlet_possibility,
                           grid_argmax_surrogate, log_dirichlet_possibility,
                           maxitive_divergence, possibilistic_posterior,
                           pushforward_possibility, simplex_grid)

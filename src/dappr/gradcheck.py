@@ -23,7 +23,7 @@ from .loss import (VACUOUS_WEIGHT, LossConfig, closed_form_maximiser,
                    vacuous_evidence_penalty)
 from .nn import (NetworkParams, _forward_cached, _step_gradients, forward,
                  init_network, pack_network)
-from .possibility import (DirichletParams, PossibilityTable, SimplexGrid,
+from .possibility import (DirichletParams, PossibilityTable, SimplexPoint,
                           dirichlet_mode, grid_argmax_surrogate,
                           log_dirichlet_possibility, maxitive_divergence,
                           possibilistic_posterior, pushforward_possibility)
@@ -138,7 +138,7 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 # the battery: one random case per call
 
 
-def closed_form_gap(rng, grid: SimplexGrid,
+def closed_form_gap(rng, grid: SimplexPoint,
                     draw_alpha=lambda rng, k: rng.uniform(1.05, 6.0, size=k)) -> float:
     """L-inf gap between the closed-form maximiser and the grid argmax, for
     alpha from ``draw_alpha(rng, k)`` and then a label drawn from rng."""

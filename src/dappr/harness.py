@@ -33,8 +33,8 @@ from .loss import (LossConfig, dappr_loss, log_softmax, one_hot, softmax,
 from .metrics import (aleatoric_uncertainty, aupr, auroc, ece,
                       epistemic_uncertainty, reliability_bins,
                       softmax_entropy)
-from .nn import (NetworkParams, TrainConfig, _Adam, _forward_cached, backward,
-                 forward, init_network, load_checkpoint, pack_network,
+from .nn import (LOSS_KINDS, NetworkParams, TrainConfig, _Adam, _forward_cached,
+                 backward, forward, init_network, load_checkpoint, pack_network,
                  save_checkpoint, train)
 from .possibility import (DirichletParams, SimplexPoint, _over_classes,
                           dirichlet_possibility, log_dirichlet_possibility,
@@ -47,6 +47,13 @@ HISTOGRAM_BINS = 30
 
 # ---------------------------------------------------------------------------
 # Configuration
+
+
+def _require_seed(key: str, seed: int) -> None:
+    # numpy rejects a negative seed only when it is used, as "expected
+    # non-negative integer", which names no key and may come after training
+    if seed < 0:
+        raise ValueError(f"{key} must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,7 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "csv" and not self.path:
             raise ValueError("csv dataset needs a path")
+        _require_seed("dataset.seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,9 @@ class OodSpec:
     n: int | None = None  # None: match the ID test-split size
     offset: float = 12.0
     seed: int = 11
+
+    def __post_init__(self):
+        _require_seed("ood.seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,11 @@ class ModelSpec:
     loss_kind: str = "dappr"
     early_stopping: bool = False
     weight_decay: float = 0.0
+
+    def __post_init__(self):
+        if self.loss_kind not in LOSS_KINDS:
+            raise ValueError(f"model.loss_kind must be one of {LOSS_KINDS}, "
+                             f"got {self.loss_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +118,7 @@ class ProbeSpec:
                 raise ValueError(f"probe.{key} must be >= 1, got {getattr(self, key)}")
         if self.finetune_lr <= 0.0:
             raise ValueError(f"probe.finetune_lr must be > 0, got {self.finetune_lr}")
+        _require_seed("probe.seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -125,6 +142,9 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
+        for seed in self.seeds:
+            _require_seed("seeds", seed)
+        _require_seed("split_seed", self.split_seed)
 
 
 _SECTION_TYPES = {
@@ -766,7 +786,7 @@ def run_verify() -> VerifyReport:
     check("mode_optimality_exact", worst == 0.0, f"max |log g(mode)| {worst:.3e}")
 
     # Grid supremum close to 1.
-    grid3 = simplex_grid(3, 200).points_array
+    grid3 = grids[1].probs
     interior = SimplexPoint(grid3[(grid3 > 0).all(axis=1)])
     lo = 1.0
     for _ in range(10):

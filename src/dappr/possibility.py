@@ -23,7 +23,14 @@ max-normalised semantics: possibility tables, the pushforward under a
 deterministic mapping (supremum over pre-images), the maxitive
 pseudo-divergence, possibilistic posteriors from per-hypothesis losses, and a
 simplex-grid brute-force maximiser that serves as the oracle for the
-closed-form result in :mod:`dappr.loss`.
+closed-form result in :mod:`dappr.loss`.  The grid is itself one batched
+:class:`SimplexPoint`.
+
+:class:`SimplexPoint`, :class:`DirichletParams` and :class:`PossibilityTable`
+accept valid input after one whole-array range test, which NaN and the
+infinities also fail.  Only when it fails do they look for the message that
+applies, in a fixed order: non-finite entries anywhere, then the first row
+out of range, then (for simplex points) the first row not summing to 1.
 
 Sums, maxima and ``any`` over the class axis of a batch go through
 ``_over_classes``, which folds whole columns instead of reducing each short
@@ -42,15 +49,6 @@ import numpy as np
 from .errors import DegenerateAlphaError
 
 _GRID_LOG_FLOOR = 1e-12
-
-
-def _as_float_vector(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d vector, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    return arr
 
 
 def _as_float_rows(x, name: str) -> np.ndarray:
@@ -90,12 +88,9 @@ def _over_classes(ufunc, rows):
     return out
 
 
-def _first_bad_row(rows: np.ndarray, bad: np.ndarray) -> np.ndarray | None:
-    """The first row of a (..., K) array whose per-row flag is set, or None."""
-    flat = bad.reshape(-1)
-    if not flat.any():
-        return None
-    return rows.reshape(-1, rows.shape[-1])[int(flat.argmax())]
+def _first_bad_row(rows: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """The first row of a (..., K) array whose per-row flag is set; one must be."""
+    return rows.reshape(-1, rows.shape[-1])[int(bad.reshape(-1).argmax())]
 
 
 def _row_value(values):
@@ -118,16 +113,17 @@ class SimplexPoint:
         probs = _as_float_rows(self.probs, "probs")
         if probs.shape[-1] < 2:
             raise ValueError("simplex points need at least 2 coordinates")
-        if not np.isfinite(probs).all():
-            raise ValueError("probabilities must be finite")
-        outside = _over_classes(np.logical_or, (probs < 0.0) | (probs > 1.0))
-        row = _first_bad_row(probs, outside)
-        if row is not None:
+        inside = (probs >= 0.0) & (probs <= 1.0)
+        if not inside.all():
+            if not np.isfinite(probs).all():
+                raise ValueError("probabilities must be finite")
+            row = _first_bad_row(probs, ~inside.all(axis=-1))
             raise ValueError(f"probabilities must lie in [0, 1], got {row}")
         totals = _over_classes(np.add, probs)
-        row = _first_bad_row(totals[..., None], np.abs(totals - 1.0) > 1e-9)
-        if row is not None:
-            raise ValueError(f"probabilities must sum to 1, got {float(row[0])!r}")
+        off = np.abs(totals - 1.0) > 1e-9
+        if off.any():
+            total = float(_first_bad_row(totals[..., None], off)[0])
+            raise ValueError(f"probabilities must sum to 1, got {total!r}")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -151,10 +147,11 @@ class DirichletParams:
         alpha = _as_float_rows(self.alpha, "alpha")
         if alpha.shape[-1] < 2:
             raise ValueError("need at least 2 concentration entries")
-        if not np.isfinite(alpha).all():
-            raise ValueError("concentrations must be finite")
-        row = _first_bad_row(alpha, _over_classes(np.logical_or, alpha < 0.0))
-        if row is not None:
+        inside = (alpha >= 0.0) & (alpha < math.inf)
+        if not inside.all():
+            if not np.isfinite(alpha).all():
+                raise ValueError("concentrations must be finite")
+            row = _first_bad_row(alpha, ~inside.all(axis=-1))
             raise ValueError(f"concentrations must be non-negative, got {row}")
         alpha.setflags(write=False)
         alpha0 = _row_value(_over_classes(np.add, alpha))
@@ -183,15 +180,15 @@ class PossibilityTable:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _as_float_vector(self.values, "values").copy()
-        if not np.all(np.isfinite(values)):
-            raise ValueError("possibility values must be finite")
-        if np.any(values < 0.0) or np.any(values > 1.0 + 1e-9):
-            raise ValueError("possibility values must lie in [0, 1]")
-        if abs(float(values.max()) - 1.0) > 1e-9:
-            raise ValueError(
-                f"table must be max-normalised to 1, got max {values.max()!r}"
-            )
+        values = _as_float_rows(self.values, "values")
+        _require_single(values)
+        low, top = values.min(), values.max()
+        if not (low >= 0.0 and abs(top - 1.0) <= 1e-9):
+            if not np.isfinite(values).all():
+                raise ValueError("possibility values must be finite")
+            if low < 0.0 or top > 1.0 + 1e-9:
+                raise ValueError("possibility values must lie in [0, 1]")
+            raise ValueError(f"table must be max-normalised to 1, got max {top!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -200,43 +197,13 @@ class PossibilityTable:
         return self.values.size
 
 
-@dataclass(frozen=True, eq=False)
-class SimplexGrid:
-    """All points of the simplex with coordinates that are multiples of 1/m.
+def simplex_grid(k: int, m: int) -> SimplexPoint:
+    """Every point of the k-simplex whose coordinates are multiples of 1/m.
 
-    ``points_array`` has one row per grid point, rows ordered by lexicographic
-    enumeration of the integer compositions of ``resolution`` into ``k`` parts.
-    The number of rows is C(m + k - 1, k - 1).
-    """
-
-    resolution: int
-    points_array: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.points_array, dtype=np.float64)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "points_array", arr)
-
-    @property
-    def k(self) -> int:
-        return self.points_array.shape[1]
-
-    @property
-    def n_points(self) -> int:
-        return self.points_array.shape[0]
-
-    @property
-    def points(self) -> SimplexPoint:
-        """Every grid point as one batched SimplexPoint, rows in grid order."""
-        return SimplexPoint(self.points_array)
-
-
-def simplex_grid(k: int, m: int) -> SimplexGrid:
-    """Enumerate every composition of m into k parts, scaled by 1/m.
-
-    Enumeration is lexicographic over the composition tuples, so the grid
-    order is deterministic and reproducible.
+    One batched SimplexPoint of C(m + k - 1, k - 1) rows: each row is a
+    composition of m into k parts, scaled by 1/m, and the rows are in the
+    lexicographic order of the composition tuples, so the grid order is
+    deterministic and reproducible.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
@@ -253,7 +220,7 @@ def simplex_grid(k: int, m: int) -> SimplexGrid:
         counts = np.column_stack([np.repeat(counts, sizes, axis=0), part])
         left = np.repeat(left, sizes) - part
     counts = np.column_stack([counts, left])
-    return SimplexGrid(resolution=m, points_array=counts / m)
+    return SimplexPoint(counts / m)
 
 
 def log_dirichlet_possibility(d: DirichletParams, p: SimplexPoint):
@@ -300,7 +267,8 @@ def possibilistic_posterior(losses) -> PossibilityTable:
     likelihoods as losses this is the relative likelihood.  Entries of +inf
     (impossible hypotheses) map to possibility 0.
     """
-    arr = _as_float_vector(losses, "losses")
+    arr = _as_float_rows(losses, "losses")
+    _require_single(arr)
     if np.any(np.isnan(arr)):
         raise ValueError("losses must not contain NaN")
     lo = float(arr.min())
@@ -350,12 +318,13 @@ def maxitive_divergence(f: PossibilityTable, g: PossibilityTable) -> float:
 
 
 def grid_argmax_surrogate(
-    d: DirichletParams, y: int, grid: SimplexGrid
+    d: DirichletParams, y: int, grid: SimplexPoint
 ) -> SimplexPoint:
     """Brute-force maximiser of log g(p; alpha) + cross_entropy(p, y) on a grid.
 
-    This is the oracle the closed-form maximiser is checked against.  Grid
-    points touching the simplex boundary are evaluated with probabilities
+    ``grid`` is a (n, K) batch of candidate points, such as ``simplex_grid``
+    gives.  This is the oracle the closed-form maximiser is checked against.
+    Grid points touching the simplex boundary are evaluated with probabilities
     floored at 1e-12 inside the logarithms; ties resolve to the first point in
     grid order.
     """
@@ -366,10 +335,10 @@ def grid_argmax_surrogate(
         raise ValueError(f"grid is {grid.k}-dimensional, alpha has {d.k} entries")
     if d.alpha0 == 0.0:
         raise DegenerateAlphaError("surrogate objective undefined for alpha0 == 0")
-    logs = np.log(np.maximum(grid.points_array, _GRID_LOG_FLOOR))
+    logs = np.log(np.maximum(grid.probs, _GRID_LOG_FLOOR))
     active = d.alpha > 0.0
     const = float(d.alpha0 * math.log(d.alpha0) - np.sum(d.alpha[active] * np.log(d.alpha[active])))
     log_g = logs[:, active] @ d.alpha[active] + const
     cross_entropy = -logs[:, y]
     objective = log_g + cross_entropy
-    return SimplexPoint(grid.points_array[int(np.argmax(objective))])
+    return SimplexPoint(grid.probs[int(np.argmax(objective))])

@@ -173,7 +173,7 @@ def test_criterion_03_possibility_algebra():
     # grid supremum of the max-normalised possibility, one row at a time: an
     # oracle independent of the batched path dappr verify checks
     grid = simplex_grid(3, 200)
-    interior = grid.points_array[np.all(grid.points_array > 0, axis=1)]
+    interior = grid.probs[np.all(grid.probs > 0, axis=1)]
     for _ in range(10):
         d = DirichletParams(rng.uniform(0.5, 5.0, size=3))
         sup = max(np.exp(log_dirichlet_possibility(d, SimplexPoint(row)))

@@ -695,6 +695,31 @@ def test_cli_rejects_probe_settings_that_cannot_run(tmp_path, capsys, key, value
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, extra, flags, message", [
+    ("ood", {"seeds": [1, -1]}, [], "seeds must be >= 0, got -1"),
+    ("ood", {}, ["--seed", "-1"], "seeds must be >= 0, got -1"),
+    ("probe", {"split_seed": -2}, [], "split_seed must be >= 0, got -2"),
+    ("ood", {"dataset": {**TINY_CONFIG["dataset"], "seed": -1}}, [],
+     "dataset.seed must be >= 0, got -1"),
+    ("probe", {"ood": [{}, {"seed": -3}]}, [], "ood.seed must be >= 0, got -3"),
+    ("probe", {"probe": {"seed": -1}}, [], "probe.seed must be >= 0, got -1"),
+    # the ood runner never reads probe settings, and still refuses them
+    ("ood", {"probe": {"seed": -1}}, [], "probe.seed must be >= 0, got -1"),
+    # the probe always trains cross-entropy, and still refuses an unknown kind
+    ("probe", {"model": {"loss_kind": "mse"}}, [],
+     "model.loss_kind must be one of ('dappr', 'cross_entropy'), got 'mse'"),
+])
+def test_cli_rejects_bad_settings_at_load_naming_the_key(tmp_path, capsys, command,
+                                                          extra, flags, message):
+    # numpy refused a negative seed only where it was used, as "expected
+    # non-negative integer", and some only after training or not at all
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, **extra, "out": str(tmp_path / "out")}))
+    assert main([command, "--config", str(cfg_path), *flags]) == 1
+    assert _single_error_line(capsys.readouterr().err) == f"error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_the_experiment_key(tmp_path, capsys):
     # the runner is the subcommand; a config naming another one is refused
     cfg_path = tmp_path / "cfg.json"

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from dappr.possibility import (
     DirichletParams,
     PossibilityTable,
-    SimplexGrid,
     SimplexPoint,
     _over_classes,
     dirichlet_mode,
@@ -127,7 +126,7 @@ def test_validator_message_for_a_batch_names_its_first_bad_row(cls, kind, messag
      "concentrations must be non-negative, got [ 1.  -0.5  1. ]"),
     (SimplexPoint, [[0.5], [1.0]], "simplex points need at least 2 coordinates"),
     (DirichletParams, [[0.5], [1.0]], "need at least 2 concentration entries"),
-    (PossibilityTable, [[0.5, 1.0]], "values must be a 1-d vector, got shape (1, 2)"),
+    (PossibilityTable, [[0.5, 1.0]], "expected a single vector, got a batch of shape (1, 2)"),
 ])
 def test_validator_message_order_in_a_batch(cls, rows, message):
     assert _message(cls, np.array(rows)) == message
@@ -195,19 +194,19 @@ def test_log_possibility_never_positive(alpha, comp):
 def test_grid_matches_stars_and_bars_enumeration():
     g = simplex_grid(3, 7)
     lattice = simplex_lattice(3, 7)
-    assert g.n_points == len(lattice) == math.comb(7 + 2, 2)
+    assert len(g.probs) == len(lattice) == math.comb(7 + 2, 2)
     expected = np.array(lattice, dtype=float) / 7.0
-    assert np.array_equal(g.points_array, expected)
+    assert np.array_equal(g.probs, expected)
 
 
 def test_grid_rows_sum_to_one():
     g = simplex_grid(4, 6)
-    assert np.allclose(g.points_array.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(g.probs.sum(axis=1), 1.0, atol=1e-12)
     # vertices present
     for k in range(4):
         vertex = np.zeros(4)
         vertex[k] = 1.0
-        assert any(np.array_equal(row, vertex) for row in g.points_array)
+        assert any(np.array_equal(row, vertex) for row in g.probs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -216,7 +215,7 @@ def test_grid_sup_close_to_one_from_below(alpha):
     """The grid never exceeds the true sup of 1 and gets within O(1/m)."""
     d = DirichletParams(np.array(alpha))
     g = simplex_grid(3, 50)
-    sup = dirichlet_possibility(d, g.points).max()
+    sup = dirichlet_possibility(d, g).max()
     assert sup <= 1.0 + 1e-9
     assert sup >= 1.0 - 5.0 / 50
 
@@ -435,9 +434,9 @@ def test_batched_possibility_conventions():
 
 def test_grid_points_are_one_batch():
     g = simplex_grid(3, 7)
-    points = g.points
-    assert isinstance(points, SimplexPoint)
-    assert np.array_equal(points.probs, g.points_array)
+    assert isinstance(g, SimplexPoint) and g.probs.shape == (math.comb(7 + 2, 2), 3)
+    with pytest.raises(ValueError):
+        g.probs[0, 0] = 0.5
 
 
 def _message(cls, values) -> str:
