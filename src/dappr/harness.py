@@ -282,14 +282,15 @@ def train_config(cfg: ExperimentConfig, seed: int, n_features: int,
     )
 
 
-def generate_ood(cfg: ExperimentConfig, spec: OodSpec, n_default: int) -> np.ndarray:
-    n = spec.n if spec.n is not None else n_default
-    return ood_generator(
-        spec.kind, n, cfg.dataset.n_features if cfg.dataset.kind == "gaussian_blobs" else 2,
-        spec.seed, offset=spec.offset,
-        n_classes=cfg.dataset.n_classes if cfg.dataset.kind == "gaussian_blobs" else 2,
-        spread=cfg.dataset.spread if cfg.dataset.kind == "gaussian_blobs" else 1.0,
-    )
+def generate_ood(cfg: ExperimentConfig, spec: OodSpec, n_default: int,
+                 n_features: int | None = None) -> np.ndarray:
+    """spec's OOD rows, in a blob dataset's geometry or, for the other kinds,
+    2 unit-spread classes 2 features wide; n_features sets the width."""
+    geometry = (cfg.dataset if cfg.dataset.kind == "gaussian_blobs"
+                else DatasetSpec(n_classes=2, n_features=2, spread=1.0))
+    return ood_generator(spec.kind, spec.n if spec.n is not None else n_default,
+                         n_features or geometry.n_features, spec.seed, offset=spec.offset,
+                         n_classes=geometry.n_classes, spread=geometry.spread)
 
 
 def ood_names(cfg: ExperimentConfig) -> list[str]:
@@ -314,43 +315,38 @@ def _fit(cfg: ExperimentConfig, seeds, train_ds: LabeledDataset,
 
 
 def _ood_sets(cfg: ExperimentConfig, test_ds: LabeledDataset) -> dict[str, np.ndarray]:
-    """Every configured OOD set by its report name, in config order; a set
-    not as wide as the data fails here, before anything trains."""
-    sets = {name: generate_ood(cfg, spec, test_ds.n)
+    """Each configured OOD set by report name, in config order, as wide as the data."""
+    return {name: generate_ood(cfg, spec, test_ds.n, test_ds.dim)
             for name, spec in zip(ood_names(cfg), cfg.ood)}
-    for name, x in sets.items():
-        if x.shape[1] != test_ds.dim:
-            raise ValueError(f"ood set {name!r} has {x.shape[1]} features, "
-                             f"the data has {test_ds.dim}")
-    return sets
 
 
 def model_uncertainties(params: NetworkParams, x: np.ndarray):
-    """Per-row (aleatoric, epistemic, confidence, alpha0) under the model's head.
+    """Per-row (aleatoric, epistemic, confidence, alpha0, prediction), one forward.
 
     Concentration-head models decompose via the Dirichlet parameters;
     cross-entropy models fall back to 1 - max softmax (aleatoric, with max
-    softmax as confidence) and softmax entropy (epistemic).  alpha0 is
-    reported for both so concentration histograms stay comparable.
+    softmax as confidence) and softmax entropy (epistemic).  Both report
+    alpha0, so concentration histograms stay comparable, and the logits'
+    argmax as the prediction.
     """
     logits = forward(params, x)
+    prediction = np.argmax(logits, axis=1)
     d = softplus_plus_one(logits)
     if params.loss_kind == "dappr":
         alea = aleatoric_uncertainty(d)
-        return alea, epistemic_uncertainty(d), 1.0 - alea, d.alpha0
+        return alea, epistemic_uncertainty(d), 1.0 - alea, d.alpha0, prediction
     probs = SimplexPoint(softmax(logits))
     conf = _over_classes(np.maximum, probs.probs)
-    return 1.0 - conf, softmax_entropy(probs), conf, d.alpha0
+    return 1.0 - conf, softmax_entropy(probs), conf, d.alpha0, prediction
 
 
 def evaluate_seed(params: NetworkParams, test: LabeledDataset,
                   ood_sets: dict[str, np.ndarray]) -> tuple[dict, dict]:
     """``(result, raw)``: one model's ID metrics and OOD detection numbers, and
-    the per-row arrays (confidences, correct, epistemic, alpha0) behind them."""
-    logits = forward(params, test.features)
-    predictions = np.argmax(logits, axis=1)
+    the per-row arrays (confidences, correct, epistemic, alpha0) behind them.
+    Each row set gets one model_uncertainties call, its only forward pass."""
+    alea, epi, conf, alpha0, predictions = model_uncertainties(params, test.features)
     correct = (predictions == test.labels).astype(np.int64)
-    alea, epi, conf, alpha0 = model_uncertainties(params, test.features)
 
     result = {
         "accuracy": 100.0 * float(np.mean(correct)),
@@ -367,7 +363,7 @@ def evaluate_seed(params: NetworkParams, test: LabeledDataset,
            "alpha0_id": alpha0, "alpha0_ood": {}}
 
     for name, features in ood_sets.items():
-        _, epi_ood, _, alpha0_ood = model_uncertainties(params, features)
+        _, epi_ood, _, alpha0_ood, _ = model_uncertainties(params, features)
         labels = np.concatenate([np.ones(test.n, dtype=np.int64),
                                  np.zeros(features.shape[0], dtype=np.int64)])
         scores = np.concatenate([-epi, -epi_ood])
@@ -419,10 +415,13 @@ def _aggregate(rows: list[dict], keys) -> tuple[dict, dict]:
 
 def write_report(report: dict, outdir: Path, runtime: float) -> Path:
     """Write report.json into outdir with run_info added; return its path."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = dict(report)
     report["run_info"] = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "runtime_seconds": runtime,
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
     }
     path = outdir / "report.json"
     with open(path, "w", encoding="utf-8") as fh:

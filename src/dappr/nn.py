@@ -302,7 +302,10 @@ def train(train_x, train_y, val_x, val_y, cfg):
     history.train_loss records the data term only.  The loss schedule
     horizon is pinned to cfg.epochs.  With early stopping enabled the
     returned params are the best-validation-accuracy snapshot, otherwise the
-    final ones; epochs=0 returns the freshly initialized network.
+    final ones; epochs=0 returns the freshly initialized network.  A
+    network whose last validation pass gives alpha0 == K on every row has
+    diverged, and raises ValueError naming its seed; an empty validation
+    set skips that check.
     """
     configs = [cfg] if isinstance(cfg, TrainConfig) else list(cfg)
     if not configs:
@@ -357,16 +360,24 @@ def train(train_x, train_y, val_x, val_y, cfg):
             epoch_loss += out.value * labels.shape[1]
 
         logits = forward(params, val_x)
+        val_alpha0 = np.sum(softplus(logits) + 1.0, axis=-1)
         for s, history in enumerate(histories):
             history.train_loss.append(float(epoch_loss[s]) / n)
             acc = float(np.mean(np.argmax(logits[s], axis=1) == val_y)) if val_y.size else 0.0
             history.val_accuracy.append(acc)
-            history.val_mean_alpha0.append(
-                float(np.mean(np.sum(softplus(logits[s]) + 1.0, axis=1)))
-                if val_y.size else 0.0)
+            history.val_mean_alpha0.append(float(np.mean(val_alpha0[s])) if val_y.size else 0.0)
             if first.early_stopping and acc > best_acc[s]:
                 best_acc[s] = acc
                 best[s] = flat[s].copy()
+
+    # every logit below softplus's underflow point: the network has lost all
+    # evidence, and every score built on it would read as a success
+    if first.epochs and val_y.size:
+        for seed, alpha0 in zip(seeds, val_alpha0):
+            if np.all(alpha0 == first.layer_sizes[-1]):
+                raise ValueError(f"training diverged for seed {seed}: alpha0 is exactly "
+                                 f"K = {first.layer_sizes[-1]} on every validation row "
+                                 f"after the last epoch")
 
     for row, snapshot in zip(flat, best):
         if snapshot is not None:

@@ -192,6 +192,17 @@ def test_run_standard_single_seed_report(tmp_path):
     assert "run_info" in on_disk and "runtime_seconds" in on_disk["run_info"]
 
 
+def test_write_report_records_numpy_and_blas_versions_under_run_info(tmp_path):
+    report = {"experiment": "standard", "mean": {"accuracy": 90.0}}
+    on_disk = json.loads(harness.write_report(report, tmp_path, 1.5).read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    run_info = on_disk.pop("run_info")
+    assert run_info["runtime_seconds"] == 1.5
+    assert run_info["numpy"] == np.__version__
+    assert run_info["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert on_disk == report
+
+
 def _assert_no_nan(node):
     if isinstance(node, dict):
         for v in node.values():
@@ -397,8 +408,9 @@ def test_run_probe_rejects_oversized_probe(tmp_path):
 def test_evaluate_seed_scores_each_row_set_once_through_the_layer_loop(
         monkeypatch, loss_kind):
     # evaluate_seed looks model_uncertainties up as a harness global and calls
-    # it as (params, x) once per row set, with the caller's own arrays; every
-    # forward goes through nn._forward_cached, the one layer loop
+    # it as (params, x) once per row set, with the caller's own arrays; that
+    # call is the row set's only forward, and every forward goes through
+    # nn._forward_cached, the one layer loop
     params = nn.init_network((2, 8, 3), seed=1, loss_kind=loss_kind)
     test = gaussian_blobs(3, 10, 2, 1.0, 5)
     box = np.random.default_rng(6).uniform(-8.0, 8.0, size=(25, 2))
@@ -424,7 +436,8 @@ def test_evaluate_seed_scores_each_row_set_once_through_the_layer_loop(
     monkeypatch.setattr(nn, "_forward_cached", counted_loop)
     result, _ = harness.evaluate_seed(params, test, {"uniform_box": box})
     assert [id(x) for x in scored] == [id(test.features), id(box)]
-    assert len(forwards) == 3 and len(layer_loops) == len(forwards)
+    assert [id(x) for x in forwards] == [id(test.features), id(box)]
+    assert len(layer_loops) == len(forwards)
     assert set(result["ood"]) == {"uniform_box"}
 
 
@@ -432,8 +445,8 @@ def test_evaluate_seed_scores_each_row_set_once_through_the_layer_loop(
 def test_evaluate_seed_scores_rows_larger_than_a_block_with_the_same_calls(
         monkeypatch, loss_kind):
     # row sets of more than one forward block keep evaluate_seed's calls:
-    # model_uncertainties once per row set on the caller's own arrays, three
-    # forwards, and each forward runs the layer loop once per block
+    # model_uncertainties once per row set on the caller's own arrays, one
+    # forward per row set, and each forward runs the layer loop once per block
     block = nn._BLOCK_ROWS
     params = nn.init_network((2, 8, 3), seed=1, loss_kind=loss_kind)
     test = gaussian_blobs(3, block // 3 + 1, 2, 1.0, 5)
@@ -463,7 +476,7 @@ def test_evaluate_seed_scores_rows_larger_than_a_block_with_the_same_calls(
     result, _ = harness.evaluate_seed(params, test, {"uniform_box": box})
     assert test.n > block
     assert [id(x) for x in scored] == [id(test.features), id(box)]
-    assert [n for n, _ in forwards] == [test.n, test.n, box.shape[0]]
+    assert [n for n, _ in forwards] == [test.n, box.shape[0]]
     assert [loops for _, loops in forwards] == [math.ceil(n / block) for n, _ in forwards]
     assert set(result["ood"]) == {"uniform_box"}
 
@@ -472,18 +485,26 @@ def test_evaluate_seed_scores_rows_larger_than_a_block_with_the_same_calls(
 @pytest.mark.parametrize("loss_kind", ["dappr", "cross_entropy"])
 def test_model_uncertainties_equal_numpy_reductions_bit_for_bit(loss_kind, k):
     # more than one forward block of rows, some far enough out that softmax
-    # underflows to exact zeros; every value is the plain numpy reduction's
+    # underflows to exact zeros; every value is the plain numpy reduction's.
+    # The zero row's logits are the output biases, and class 1's lies so
+    # little above the rest that softmax and softplus(z) + 1 tie it with
+    # class 0: only the logits' argmax predicts class 1 there
     block = nn._BLOCK_ROWS
     params = nn.init_network((2, 16, k), seed=3, loss_kind=loss_kind)
+    params.biases[-1][1] = 1e-300
     rng = np.random.default_rng(11)
     x = rng.normal(size=(block + 37, 2)) * rng.choice([1.0, 40.0, 400.0], size=(block + 37, 1))
+    x[0] = 0.0
     got = harness.model_uncertainties(params, x)
     want = row_uncertainties(forward(params, x), loss_kind)
     if loss_kind == "cross_entropy":
         assert np.any(want[1] == 0.0)  # the 0 log 0 = 0 rows are reached
+    assert len(got) == len(want) + 1
     for g, w in zip(got, want):
         assert g.shape == w.shape == (x.shape[0],)
         assert np.array_equal(g, w)
+    assert np.array_equal(got[4], np.argmax(forward(params, x), axis=1))
+    assert got[4][0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -746,18 +767,45 @@ def test_cli_eval_rejects_truncated_checkpoint(tmp_path, capsys):
     assert "malformed checkpoint" in line
 
 
-def test_cli_ood_set_narrower_than_data_exits_one_before_training(tmp_path, capsys):
-    # the OOD generators draw 2-feature rows for a CSV dataset
+def test_cli_ood_on_a_three_feature_csv_draws_ood_sets_as_wide_as_the_data(tmp_path,
+                                                                           capsys):
+    # the OOD sets of a CSV dataset were drawn 2 features wide, so no config
+    # could run ood on a CSV of any other width
     rng = np.random.default_rng(3)
     save_csv(LabeledDataset(rng.normal(size=(60, 3)), np.arange(60) % 3, 3),
              tmp_path / "data.csv")
     cfg = tiny_config(tmp_path, dataset={"kind": "csv", "path": str(tmp_path / "data.csv")})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    assert main(["ood", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().err == ""
+    test_ds = make_splits(cfg)[2]
+    sets = harness._ood_sets(cfg, test_ds)
+    assert list(sets) == ["uniform_box", "shifted_blobs"]
+    assert all(x.shape == (test_ds.n, 3) for x in sets.values())
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert set(report["mean"]["ood"]) == set(sets)
+
+
+@pytest.mark.parametrize("learning_rate", [1e6, 1e3])
+def test_cli_diverged_training_exits_one_without_a_report(tmp_path, capsys,
+                                                          learning_rate):
+    # every validation logit ends below softplus's underflow point, so alpha0
+    # == K on every row; the run exited 0 with accuracy at chance, ECE near
+    # 0 and a uniform_box AUPR of 100
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": {"n_per_class": 20},
+        "model": {"epochs": 10, "learning_rate": learning_rate},
+        "seeds": [1],
+        "out": str(tmp_path / "out"),
+    }))
     assert main(["ood", "--config", str(cfg_path)]) == 1
-    line = _single_error_line(capsys.readouterr().err)
-    assert "'uniform_box' has 2 features, the data has 3" in line
-    assert not list((tmp_path / "out").glob("checkpoint*"))
+    captured = capsys.readouterr()
+    line = _single_error_line(captured.err)
+    assert line.startswith("error: training diverged for seed 1: alpha0 is exactly K = 3")
+    assert captured.out == ""
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_cli_ood_runner_and_lambda_override(tmp_path, capsys):

@@ -570,6 +570,20 @@ def test_zero_epochs_returns_fresh_init():
     assert h.train_loss == [] and h.val_accuracy == []
 
 
+def test_diverged_training_raises_naming_the_seed():
+    # at this rate every validation logit ends below softplus's underflow
+    # point, so alpha0 == K on every row; an empty validation set has no rows
+    # to judge by and trains through
+    tx, ty, vx, vy = _blob_split()
+    cfg = TrainConfig(layer_sizes=(2, 16, 3), epochs=10, batch_size=16, seed=4,
+                      learning_rate=1e6)
+    with pytest.raises(ValueError, match=r"^training diverged for seed 4: alpha0 is "
+                                         r"exactly K = 3 on every validation row"):
+        train(tx, ty, vx, vy, [cfg, replace(cfg, seed=5)])
+    _, history = train(tx, ty, vx[:0], vy[:0], cfg)
+    assert history.val_mean_alpha0 == [0.0] * cfg.epochs
+
+
 def test_cross_entropy_loss_descends_on_blobs():
     tx, ty, vx, vy = _blob_split()
     cfg = TrainConfig(layer_sizes=(2, 16, 3), epochs=50, batch_size=16, seed=1,
