@@ -16,11 +16,12 @@ counts live with the callers.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .loss import (VACUOUS_WEIGHT, LossConfig, closed_form_maximiser,
-                   dappr_loss, lambda_schedule, one_hot, softplus,
-                   vacuous_evidence_penalty)
+from .loss import (EPS, VACUOUS_WEIGHT, closed_form_maximiser, dappr_loss,
+                   one_hot, softplus, vacuous_evidence_penalty)
 from .nn import (NetworkParams, _forward_cached, _step_gradients, forward,
                  init_network, pack_network)
 from .possibility import (DirichletParams, PossibilityTable, SimplexPoint,
@@ -50,28 +51,27 @@ def fd_gradient(f, x0: np.ndarray) -> np.ndarray:
     return (up - down) / (2.0 * FD_STEP)
 
 
-def frozen_pstar_objective(base_logits, labels, cfg: LossConfig):
-    """Surrogate value of each (..., b, K) logits batch, p* frozen at the (b, K)
-    base_logits and lam_t the schedule's at epoch 0 (detach semantics)."""
+def frozen_pstar_objective(base_logits, labels, lam: float):
+    """Surrogate value of each (..., b, K) logits batch at penalty weight lam,
+    p* frozen at the (b, K) base_logits (detach semantics) with the default eps."""
     y = one_hot(labels, np.shape(base_logits)[-1])
-    a_star = softplus(base_logits) + 1.0 - y + cfg.eps
+    a_star = softplus(base_logits) + 1.0 - y + EPS
     p_star = a_star / a_star.sum(axis=-1, keepdims=True)
     off = 1.0 - y
-    lam_t = lambda_schedule(cfg, 0)
 
     def value(logits):
         alpha = softplus(np.asarray(logits, dtype=np.float64)) + 1.0
         alpha0 = alpha.sum(axis=-1)
         surrogate = alpha0 * np.log(alpha0) + np.sum(alpha * np.log(p_star / alpha), axis=-1)
         pen = np.sum((alpha * off) ** 2, axis=-1)
-        return surrogate.mean(axis=-1) + lam_t * pen.mean(axis=-1)
+        return surrogate.mean(axis=-1) + lam * pen.mean(axis=-1)
 
     return value
 
 
-def dappr_loss_fd_gradient(logits, labels, cfg: LossConfig) -> np.ndarray:
+def dappr_loss_fd_gradient(logits, labels, lam: float) -> np.ndarray:
     """FD gradient of the surrogate loss wrt logits, p* frozen at the base."""
-    return fd_gradient(frozen_pstar_objective(logits, labels, cfg), logits)
+    return fd_gradient(frozen_pstar_objective(logits, labels, lam), logits)
 
 
 def vacuous_penalty_value(logits):
@@ -96,9 +96,9 @@ def network_fd_gradient(params: NetworkParams, x, value_fn) -> np.ndarray:
     return fd_gradient(values, pack_network(params)[0])
 
 
-def step_fd_gradient(params: NetworkParams, x, labels, cfg: LossConfig,
+def step_fd_gradient(params: NetworkParams, x, labels, lam: float,
                      background=None) -> np.ndarray:
-    """FD oracle of nn._step_gradients for the dappr loss at epoch 0.
+    """FD oracle of nn._step_gradients for the dappr loss at penalty weight lam.
 
     The value is the frozen-p* surrogate on the data rows x plus, when
     background rows are given, the vacuous-evidence penalty on them, all
@@ -106,7 +106,7 @@ def step_fd_gradient(params: NetworkParams, x, labels, cfg: LossConfig,
     """
     b = len(x)
     rows = x if background is None else np.vstack([x, background])
-    data_value = frozen_pstar_objective(forward(params, rows)[:b], labels, cfg)
+    data_value = frozen_pstar_objective(forward(params, rows)[:b], labels, lam)
 
     def value(logits):
         data = data_value(logits[..., :b, :])
@@ -183,12 +183,12 @@ def pushforward_gap(rng) -> float:
     return float(max(np.max(np.abs(ident.values - table.values)), abs(padded.values[6])))
 
 
-def loss_gradient_error(rng, cfg: LossConfig) -> float:
+def loss_gradient_error(rng, lam: float) -> float:
     """dappr_loss's logit gradient against its FD oracle on a 4x3 batch."""
     z = rng.normal(0.0, 2.0, size=(4, 3))
     labels = rng.integers(0, 3, size=4)
-    return relative_error(dappr_loss(z, labels, cfg, 0).grad_logits,
-                          dappr_loss_fd_gradient(z, labels, cfg))
+    return relative_error(dappr_loss(z, labels, lam).grad_logits,
+                          dappr_loss_fd_gradient(z, labels, lam))
 
 
 def penalty_gradient_error(rng) -> float:
@@ -205,7 +205,7 @@ def step_gradient_error(rng, background: bool) -> float:
     asked) go through nn._step_gradients at lam = 2e-3; network and rows
     are redrawn while any hidden unit sits near a relu kink.
     """
-    cfg = LossConfig(lam=2e-3)
+    lam = 2e-3
     while True:
         params = init_network((2, 8, 8, 3), seed=int(rng.integers(2 ** 31)))
         x = rng.normal(0.0, 1.0, size=(5, 2))
@@ -216,6 +216,6 @@ def step_gradient_error(rng, background: bool) -> float:
     # training's step on a stack of one network
     _, stack = pack_network(params, copies=1)
     grad, grads = pack_network(params, copies=1)
-    _step_gradients(stack, x[None], labels[None], dappr_loss, cfg, 0, grads,
+    _step_gradients(stack, x[None], labels[None], partial(dappr_loss, lam=lam), grads,
                     None if bg is None else bg[None])
-    return relative_error(grad[0], step_fd_gradient(params, x, labels, cfg, bg))
+    return relative_error(grad[0], step_fd_gradient(params, x, labels, lam, bg))

@@ -493,13 +493,16 @@ def _runner(experiment: str):
     The runner, called as ``run(cfg, *args)``, does what every experiment
     shares: it times the run, creates ``cfg.out``, puts the experiment name
     and the config in front of the body's report entries, and writes
-    report.json.  It returns the report without ``run_info``.
+    report.json.  A report.json already in ``cfg.out`` is removed before the
+    body runs, so one is there only after a run finished.  It returns the
+    report without ``run_info``.
     """
     def decorate(body):
         def run(cfg: ExperimentConfig, *args) -> dict:
             started = time.perf_counter()
             outdir = Path(cfg.out)
             outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / "report.json").unlink(missing_ok=True)
             report = {"experiment": experiment, "config": config_to_dict(cfg),
                       **body(cfg, outdir, *args)}
             write_report(report, outdir, time.perf_counter() - started)
@@ -519,9 +522,12 @@ def run_train(cfg: ExperimentConfig, outdir: Path) -> dict:
     [(params, history)] = _fit(cfg, [seed], train_ds, val_ds)
     save_checkpoint(params, outdir / "checkpoint.json")
     _write_table(outdir / "history.csv",
-                 ("epoch", "train_loss", "val_accuracy", "val_mean_alpha0"),
+                 ("epoch", "train_loss", "val_accuracy", "val_mean_alpha0", "lam_t",
+                  "train_surrogate", "train_regulariser", "train_vacuous"),
                  zip(range(len(history.train_loss)), history.train_loss,
-                     history.val_accuracy, history.val_mean_alpha0))
+                     history.val_accuracy, history.val_mean_alpha0, history.lam_t,
+                     history.train_surrogate, history.train_regulariser,
+                     history.train_vacuous))
     return {
         "seed": seed,
         "epochs_run": len(history.train_loss),
@@ -810,12 +816,11 @@ def run_verify() -> VerifyReport:
                                     SimplexPoint([0.25, 0.5, 0.25]))
     check("frozen_log_possibility", abs(val - (-0.6931471805599453)) < 1e-12,
           f"got {val!r}")
-    out = dappr_loss(np.zeros((1, 2)), np.array([0]), LossConfig(lam=0.0), 0)
+    out = dappr_loss(np.zeros((1, 2)), np.array([0]))
     check("frozen_unit_logits_loss", abs(out.value - (-0.326968552235965)) < 1e-12,
           f"got {out.value!r}")
 
-    worst = max([gradcheck.loss_gradient_error(rng, LossConfig(lam=lam))
-                 for lam in (0.0, 2e-3)]
+    worst = max([gradcheck.loss_gradient_error(rng, lam) for lam in (0.0, 2e-3)]
                 + [gradcheck.penalty_gradient_error(rng) for _ in range(2)])
     check("gradient_loss_level", worst < 1e-5, f"max rel err {worst:.3e}")
 

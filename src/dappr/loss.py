@@ -15,7 +15,7 @@ wrong classes.
 All gradients here are analytic; there is no autodiff anywhere in the
 package.  The gradient of the per-sample loss with p* held fixed is
 
-    d loss / d alpha_j = log(alpha0 * p*_j / alpha_j) + 2 lam_t alpha_j (1 - y_j)
+    d loss / d alpha_j = log(alpha0 * p*_j / alpha_j) + 2 lam alpha_j (1 - y_j)
 
 chained through d alpha / d z = sigmoid(z).
 
@@ -41,6 +41,14 @@ WARMUP_EPOCHS = 10
 # that the data term still sets alpha0 on the data (criteria 5 and 9 hold),
 # large enough that the far field flattens toward alpha0 = K.
 VACUOUS_WEIGHT = 1e-2
+EPS = 1e-8  # default floor eps of a* = alpha - y + eps in the surrogate loss
+
+
+def _check_weight_and_floor(lam: float, eps: float) -> None:
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    if not 0.0 < eps <= 1e-4:
+        raise ValueError(f"eps must be in (0, 1e-4], got {eps}")
 
 
 @dataclass(frozen=True)
@@ -48,26 +56,20 @@ class LossConfig:
     """Loss hyperparameters: regulariser weight, eps floor, weight schedule."""
 
     lam: float = 2e-3
-    eps: float = 1e-8
+    eps: float = EPS
     schedule: str = "constant"
-    total_epochs: int = 1
 
     def __post_init__(self):
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not 0.0 < self.eps <= 1e-4:
-            raise ValueError(f"eps must be in (0, 1e-4], got {self.eps}")
+        _check_weight_and_floor(self.lam, self.eps)
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
-        if self.total_epochs < 1:
-            raise ValueError(f"total_epochs must be >= 1, got {self.total_epochs}")
 
 
 @dataclass(frozen=True, eq=False)
 class LossOutput:
     """Loss value, analytic gradient wrt logits, and the two mean components.
 
-    ``value == surrogate_term + lam_t * regulariser`` by construction.  The
+    ``value == surrogate_term + lam * regulariser`` by construction.  The
     three are floats for one batch and hold one entry per batch for a stack
     (cross_entropy_loss's regulariser stays the float 0.0).
     """
@@ -76,7 +78,6 @@ class LossOutput:
     grad_logits: np.ndarray
     surrogate_term: float | np.ndarray
     regulariser: float | np.ndarray
-    lam_t: float
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -167,20 +168,20 @@ def multi_observation_maximiser(d: DirichletParams, ys) -> SimplexPoint:
     return SimplexPoint((d.alpha - counts) / (d.alpha0 - labels.size))
 
 
-def lambda_schedule(cfg: LossConfig, epoch: int) -> float:
-    """Regulariser weight at a given 0-based epoch.
+def lambda_schedule(cfg: LossConfig, epoch: int, epochs: int) -> float:
+    """Regulariser weight at a given 0-based epoch of a run of ``epochs``.
 
-    constant: lam; warmup: lam * min(1, epoch/10); linear: lam * epoch/T.
+    constant: lam; warmup: lam * min(1, epoch/10); linear: lam * epoch/epochs.
     """
-    if not 0 <= epoch <= cfg.total_epochs:
-        raise ValueError(
-            f"epoch must lie in [0, {cfg.total_epochs}], got {epoch}"
-        )
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not 0 <= epoch <= epochs:
+        raise ValueError(f"epoch must lie in [0, {epochs}], got {epoch}")
     if cfg.schedule == "constant":
         return cfg.lam
     if cfg.schedule == "warmup":
         return cfg.lam * min(1.0, epoch / WARMUP_EPOCHS)
-    return cfg.lam * epoch / cfg.total_epochs
+    return cfg.lam * epoch / epochs
 
 
 def _check_logit_batches(logits) -> np.ndarray:
@@ -202,27 +203,27 @@ def _batch_one_hot(labels, z: np.ndarray) -> np.ndarray:
     return one_hot(labels, z.shape[-1])
 
 
-def dappr_loss(logits, labels, cfg: LossConfig, epoch: int = 0) -> LossOutput:
+def dappr_loss(logits, labels, lam: float = 0.0, eps: float = EPS) -> LossOutput:
     """Batch surrogate loss with spurious-evidence penalty and its gradient.
 
     Per sample: alpha = softplus(z) + 1, a* = alpha - y + eps,
     p* = a*/sum(a*) held constant under differentiation,
     surrogate = alpha0 log alpha0 + sum_k alpha_k log(p*_k / alpha_k),
     penalty = sum_k (alpha_k (1 - y_k))^2.  The batch value is
-    mean(surrogate) + lam_t * mean(penalty).  ``logits`` is one (b, K) batch
+    mean(surrogate) + lam * mean(penalty).  ``logits`` is one (b, K) batch
     with (b,) labels, which gives float fields, or a (..., b, K) stack of
     batches with (..., b) labels, which gives value, surrogate_term and
     regulariser per leading index, each batch's bits as if scored alone.
     """
+    _check_weight_and_floor(lam, eps)
     z = _check_logit_batches(logits)
     y = _batch_one_hot(labels, z)
     b = z.shape[-2]
-    lam_t = lambda_schedule(cfg, epoch)
 
     sp = softplus(z)
     alpha = sp + 1.0
     alpha0 = alpha.sum(axis=-1, keepdims=True)
-    a_star = alpha - y + cfg.eps
+    a_star = alpha - y + eps
     p_star = a_star / a_star.sum(axis=-1, keepdims=True)
 
     off = 1.0 - y
@@ -236,14 +237,14 @@ def dappr_loss(logits, labels, cfg: LossConfig, epoch: int = 0) -> LossOutput:
     penalty_mean = penalty.sum(axis=-1) / b
     if z.ndim == 2:
         surrogate_mean, penalty_mean = float(surrogate_mean), float(penalty_mean)
-    value = surrogate_mean + lam_t * penalty_mean
+    value = surrogate_mean + lam * penalty_mean
 
-    # off is exactly 0 or 1, so this is (2 lam_t alpha) off to the bit
-    grad_alpha = np.log(alpha0 * p_star / alpha) + 2.0 * lam_t * penalty_terms
+    # off is exactly 0 or 1, so this is (2 lam alpha) off to the bit
+    grad_alpha = np.log(alpha0 * p_star / alpha) + 2.0 * lam * penalty_terms
     # sigmoid(z) is -expm1(-softplus(z)); its sign moves onto b, bits unchanged
     grad_logits = grad_alpha * np.expm1(-sp) / -b
     return LossOutput(value=value, grad_logits=grad_logits, surrogate_term=surrogate_mean,
-                      regulariser=penalty_mean, lam_t=lam_t)
+                      regulariser=penalty_mean)
 
 
 def vacuous_evidence_penalty(logits):
@@ -265,13 +266,11 @@ def vacuous_evidence_penalty(logits):
     return (float(value) if z.ndim == 2 else value), grad_logits
 
 
-def cross_entropy_loss(logits, labels, cfg: LossConfig | None = None,
-                       epoch: int = 0) -> LossOutput:
+def cross_entropy_loss(logits, labels) -> LossOutput:
     """Mean negative log softmax likelihood and its gradient.
 
-    Takes one (b, K) batch or a (..., b, K) stack as dappr_loss does.  The
-    cfg/epoch arguments are accepted for interface parity with dappr_loss
-    and ignored; the regulariser component is 0.
+    Takes one (b, K) batch or a (..., b, K) stack as dappr_loss does; the
+    regulariser component is 0.
     """
     z = _check_logit_batches(logits)
     y = _batch_one_hot(labels, z)
@@ -283,4 +282,4 @@ def cross_entropy_loss(logits, labels, cfg: LossConfig | None = None,
         value = float(value)
     grad_logits = (np.exp(log_probs) - y) / b
     return LossOutput(value=value, grad_logits=grad_logits, surrogate_term=value,
-                      regulariser=0.0, lam_t=0.0)
+                      regulariser=0.0)

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .loss import (LossConfig, cross_entropy_loss, dappr_loss, softplus,
-                   softplus_plus_one, vacuous_evidence_penalty)
+from .loss import (LossConfig, cross_entropy_loss, dappr_loss, lambda_schedule,
+                   softplus, softplus_plus_one, vacuous_evidence_penalty)
 from .possibility import DirichletParams
 
 OPTIMIZERS = ("adam", "sgd")
@@ -95,9 +96,24 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class TrainHistory:
+    """Per-epoch record of one network's training.
+
+    train_loss is the loss on the data rows, train_surrogate and
+    train_regulariser its two components (train_loss == train_surrogate +
+    lam_t * train_regulariser), train_vacuous the vacuous-evidence penalty
+    on the background rows; each is a mean over the epoch's batches weighted
+    by their data rows.  lam_t is the epoch's penalty weight.  The
+    cross-entropy head has no penalty or background: its train_surrogate is
+    train_loss and the other three are 0.0.
+    """
+
     train_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
     val_mean_alpha0: list[float] = field(default_factory=list)
+    lam_t: list[float] = field(default_factory=list)
+    train_surrogate: list[float] = field(default_factory=list)
+    train_regulariser: list[float] = field(default_factory=list)
+    train_vacuous: list[float] = field(default_factory=list)
 
 
 def init_network(layer_sizes, seed: int, loss_kind: str = "dappr") -> NetworkParams:
@@ -248,9 +264,6 @@ class _Sgd:
         flat -= self.lr * grad
 
 
-_LOSS_FNS = {"dappr": dappr_loss, "cross_entropy": cross_entropy_loss}
-
-
 def background_law(train_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(centre, scale) of the Gaussian background law, from training inputs only.
 
@@ -262,28 +275,31 @@ def background_law(train_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return train_x.mean(axis=0), BACKGROUND_SCALE * np.where(std > 0.0, std, 1.0)
 
 
-def _step_gradients(params: NetworkParams, x, labels, loss_fn, loss_cfg,
-                    epoch: int, grads: NetworkParams, background=None):
-    """Loss output of one training step of a stack; its gradient goes to ``grads``.
+def _step_gradients(params: NetworkParams, x, labels, loss_fn, grads: NetworkParams,
+                    background=None):
+    """Loss of one training step of a stack; its gradient goes to ``grads``.
 
     ``params`` is a stack from pack_network(copies=S), ``grads`` backward's
     views, ``x`` (S, b, d) and ``labels`` (S, b), one set of rows per
-    network; one ``loss_fn`` call scores the (S, b, K) data logits.
-    ``background`` rows (S, b, d), when given, share the forward/backward
-    pass with the data rows and carry the vacuous-evidence penalty, one call
-    for the stack.  Returns the loss output, one value per network over its
-    data rows.
+    network; one ``loss_fn(logits, labels)`` call scores the (S, b, K) data
+    logits.  ``background`` rows (S, b, d), when given, share the
+    forward/backward pass with the data rows and carry the vacuous-evidence
+    penalty, one call for the stack.  Returns (loss output, vacuous): the
+    output holds one value per network over its data rows, vacuous the
+    penalty per network, or 0.0 without background rows.
     """
     b = x.shape[1]
     if background is not None:
         x = np.concatenate([x, background], axis=1)
     acts = _forward_cached(params, x)
     logits = acts[-1]
-    out = loss_fn(logits[:, :b], labels, loss_cfg, epoch)
-    grad_logits = out.grad_logits if background is None else np.concatenate(
-        [out.grad_logits, vacuous_evidence_penalty(logits[:, b:])[1]], axis=1)
+    out = loss_fn(logits[:, :b], labels)
+    grad_logits, vacuous = out.grad_logits, 0.0
+    if background is not None:
+        vacuous, grad_vacuous = vacuous_evidence_penalty(logits[:, b:])
+        grad_logits = np.concatenate([grad_logits, grad_vacuous], axis=1)
     backward(params, acts, grad_logits, grads)
-    return out
+    return out, vacuous
 
 
 def train(train_x, train_y, val_x, val_y, cfg):
@@ -299,8 +315,9 @@ def train(train_x, train_y, val_x, val_y, cfg):
     reproducible.  For the dappr loss each batch of b data rows is joined by
     b background rows from ``background_law(train_x)``, drawn per epoch from
     their own derived seed, which carry the vacuous-evidence penalty;
-    history.train_loss records the data term only.  The loss schedule
-    horizon is pinned to cfg.epochs.  With early stopping enabled the
+    history.train_loss records the data term only, train_vacuous the
+    penalty.  Epoch e weighs the penalty by lambda_schedule(cfg.loss, e,
+    cfg.epochs).  With early stopping enabled the
     returned params are the best-validation-accuracy snapshot, otherwise the
     final ones; epochs=0 returns the freshly initialized network.  A
     network whose last validation pass gives alpha0 == K on every row has
@@ -330,8 +347,8 @@ def train(train_x, train_y, val_x, val_y, cfg):
     grad, grads = pack_network(nets[0], copies=len(nets))
     n_weights = sum(w.size for w in nets[0].weights)
     histories = [TrainHistory() for _ in configs]
-    loss_fn = _LOSS_FNS[first.loss_kind]
-    loss_cfg = replace(first.loss, total_epochs=max(first.epochs, 1))
+    # looked up on each call of train, so a patched module global is what runs
+    lam_t, loss_fn = 0.0, cross_entropy_loss
     opt = (_Adam if first.optimizer == "adam" else _Sgd)(flat, first.learning_rate)
 
     n, d = train_x.shape
@@ -347,22 +364,34 @@ def train(train_x, train_y, val_x, val_y, cfg):
             background = np.stack([
                 centre + scale * np.random.default_rng([seed, 2, epoch]).standard_normal((n, d))
                 for seed in seeds])
+            lam_t = lambda_schedule(first.loss, epoch, first.epochs)
+            loss_fn = partial(dappr_loss, lam=lam_t, eps=first.loss.eps)
         shuffled_x, shuffled_y = train_x[perms], train_y[perms]
-        epoch_loss = np.zeros(len(configs))
+        # row-weighted sums of the loss, its two components and the vacuous penalty
+        epoch_loss, epoch_surrogate, epoch_regulariser, epoch_vacuous = np.zeros(
+            (4, len(configs)))
         for start in range(0, n, first.batch_size):
             rows = slice(start, start + first.batch_size)
             labels = shuffled_y[:, rows]
-            out = _step_gradients(params, shuffled_x[:, rows], labels, loss_fn, loss_cfg,
-                                  epoch, grads, background[:, rows] if vacuous else None)
+            out, vacuous_term = _step_gradients(params, shuffled_x[:, rows], labels, loss_fn,
+                                                grads, background[:, rows] if vacuous else None)
             if first.weight_decay > 0.0:
                 grad[:, :n_weights] += first.weight_decay * flat[:, :n_weights]
             opt.step(flat, grad)
-            epoch_loss += out.value * labels.shape[1]
+            b = labels.shape[1]
+            epoch_loss += out.value * b
+            epoch_surrogate += out.surrogate_term * b
+            epoch_regulariser += out.regulariser * b
+            epoch_vacuous += vacuous_term * b
 
         logits = forward(params, val_x)
         val_alpha0 = np.sum(softplus(logits) + 1.0, axis=-1)
         for s, history in enumerate(histories):
             history.train_loss.append(float(epoch_loss[s]) / n)
+            history.lam_t.append(lam_t)
+            history.train_surrogate.append(float(epoch_surrogate[s]) / n)
+            history.train_regulariser.append(float(epoch_regulariser[s]) / n)
+            history.train_vacuous.append(float(epoch_vacuous[s]) / n)
             acc = float(np.mean(np.argmax(logits[s], axis=1) == val_y)) if val_y.size else 0.0
             history.val_accuracy.append(acc)
             history.val_mean_alpha0.append(float(np.mean(val_alpha0[s])) if val_y.size else 0.0)

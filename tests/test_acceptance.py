@@ -26,7 +26,6 @@ from dappr import gradcheck
 from dappr.harness import (generate_ood, make_splits, ood_names,
                            run_lambda_sweep, run_probe, run_scaling,
                            run_standard)
-from dappr.loss import LossConfig
 from dappr.metrics import aupr, auroc
 from dappr.possibility import (DirichletParams, SimplexPoint,
                                log_dirichlet_possibility, simplex_grid)
@@ -147,7 +146,7 @@ def test_criterion_02_gradient_fidelity():
     start = time.perf_counter()
     rng = np.random.default_rng(202)
     # the surrogate alone, then through the network in one training step
-    loss_errs = [gradcheck.loss_gradient_error(rng, LossConfig(lam=0.0 if i % 2 else 2e-3))
+    loss_errs = [gradcheck.loss_gradient_error(rng, 0.0 if i % 2 else 2e-3)
                  for i in range(100)]
     net_errs = [gradcheck.step_gradient_error(rng, background=False) for _ in range(100)]
 

@@ -1,7 +1,9 @@
+import csv
 import json
 import logging
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,7 +129,16 @@ def test_run_train_writes_artifacts(tmp_path):
     assert report["epochs_run"] == 3
     assert 0.0 <= report["final_val_accuracy"] <= 100.0
     header = (out / "history.csv").read_text().splitlines()[0]
-    assert header == "epoch,train_loss,val_accuracy,val_mean_alpha0"
+    assert header == ("epoch,train_loss,val_accuracy,val_mean_alpha0,lam_t,"
+                      "train_surrogate,train_regulariser,train_vacuous")
+    # the default warmup schedule over the run's 3 epochs
+    with open(out / "history.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["lam_t"]) for r in rows] == [0.0, 2e-4, 4e-4]
+    # the loss's weight schedule is not a config setting
+    on_disk = json.loads((out / "report.json").read_text())
+    assert set(on_disk["config"]["loss"]) == set(report["config"]["loss"]) == {
+        "lam", "eps", "schedule"}
 
 
 def test_run_eval_reads_checkpoint_back(tmp_path):
@@ -806,6 +817,41 @@ def test_cli_diverged_training_exits_one_without_a_report(tmp_path, capsys,
     assert line.startswith("error: training diverged for seed 1: alpha0 is exactly K = 3")
     assert captured.out == ""
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_cli_failed_run_leaves_no_earlier_report(tmp_path, capsys):
+    # a diverged run into a directory that holds a finished run's report
+    # exited 1 but left that report, which still read lr 0.001, accuracy 100
+    standard = json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                           "standard.json").read_text())
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**standard, "seeds": [1], "out": str(out),
+                                    "model": {**standard["model"], "epochs": 5}}))
+    assert main(["ood", "--config", str(cfg_path)]) == 0
+    assert json.loads((out / "report.json").read_text())["experiment"] == "standard"
+    capsys.readouterr()
+    cfg_path.write_text(json.dumps({
+        "dataset": {"n_per_class": 20},
+        "model": {"epochs": 10, "learning_rate": 1e6},
+        "seeds": [1],
+        "out": str(out),
+    }))
+    assert main(["ood", "--config", str(cfg_path)]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert line.startswith("error: training diverged for seed 1")
+    assert not (out / "report.json").exists()
+
+
+def test_cli_rejects_the_loss_schedule_horizon_key(tmp_path, capsys):
+    # the horizon is the run's model.epochs; a value here used to be ignored
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, "loss": {"total_epochs": 60},
+                                    "out": str(tmp_path / "out")}))
+    assert main(["ood", "--config", str(cfg_path)]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert line == "error: unknown loss keys: ['total_epochs']"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_ood_runner_and_lambda_override(tmp_path, capsys):

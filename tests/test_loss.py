@@ -1,4 +1,7 @@
+import inspect
 import math
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from dappr.errors import MaximiserValidityError
 from dappr.loss import (
     VACUOUS_WEIGHT,
     LossConfig,
+    LossOutput,
     closed_form_maximiser,
     cross_entropy_loss,
     dappr_loss,
@@ -157,56 +161,81 @@ def _logits_for(alpha):
 
 
 def test_surrogate_term_frozen():
-    out = dappr_loss(_logits_for([2.0, 2.0]), np.array([0]), LossConfig(lam=0.0))
+    out = dappr_loss(_logits_for([2.0, 2.0]), np.array([0]), lam=0.0)
     assert abs(out.surrogate_term - (-0.2355660679794336)) < 1e-12
 
 
 def test_regulariser_formula():
     z = _logits_for([3.0, 2.0, 1.5])
     # sum over the wrong classes of alpha_k^2
-    assert dappr_loss(z, np.array([2]), LossConfig()).regulariser == 13.0
-    assert dappr_loss(z, np.array([0]), LossConfig()).regulariser == 6.25
+    assert dappr_loss(z, np.array([2])).regulariser == 13.0
+    assert dappr_loss(z, np.array([0]), lam=2e-3).regulariser == 6.25
     with pytest.raises(ValueError):
-        dappr_loss(z, np.array([3]), LossConfig())
+        dappr_loss(z, np.array([3]))
 
 
 def test_lambda_schedule_constant_and_warmup():
-    c = LossConfig(lam=2e-3, schedule="constant", total_epochs=100)
-    assert lambda_schedule(c, 0) == 2e-3
-    assert lambda_schedule(c, 100) == 2e-3
-    w = LossConfig(lam=2e-3, schedule="warmup", total_epochs=100)
-    assert lambda_schedule(w, 0) == 0.0
-    assert lambda_schedule(w, 5) == pytest.approx(1e-3, abs=1e-18)
-    assert lambda_schedule(w, 10) == 2e-3
-    assert lambda_schedule(w, 60) == 2e-3
+    c = LossConfig(lam=2e-3, schedule="constant")
+    assert lambda_schedule(c, 0, 100) == 2e-3
+    assert lambda_schedule(c, 100, 100) == 2e-3
+    w = LossConfig(lam=2e-3, schedule="warmup")
+    assert lambda_schedule(w, 0, 100) == 0.0
+    assert lambda_schedule(w, 5, 100) == pytest.approx(1e-3, abs=1e-18)
+    assert lambda_schedule(w, 10, 100) == 2e-3
+    assert lambda_schedule(w, 60, 100) == 2e-3
 
 
 def test_lambda_schedule_linear_and_bounds():
-    lin = LossConfig(lam=4e-3, schedule="linear", total_epochs=80)
-    assert lambda_schedule(lin, 0) == 0.0
-    assert lambda_schedule(lin, 40) == pytest.approx(2e-3, abs=1e-18)
-    assert lambda_schedule(lin, 80) == 4e-3
-    with pytest.raises(ValueError):
-        lambda_schedule(lin, -1)
-    with pytest.raises(ValueError):
-        lambda_schedule(lin, 81)
+    lin = LossConfig(lam=4e-3, schedule="linear")
+    assert lambda_schedule(lin, 0, 80) == 0.0
+    assert lambda_schedule(lin, 40, 80) == pytest.approx(2e-3, abs=1e-18)
+    assert lambda_schedule(lin, 80, 80) == 4e-3
+    # the horizon is the run's length: the same epoch weighs less in a longer run
+    assert lambda_schedule(lin, 40, 160) == pytest.approx(1e-3, abs=1e-18)
+    with pytest.raises(ValueError, match=r"^epoch must lie in \[0, 80\], got -1$"):
+        lambda_schedule(lin, -1, 80)
+    with pytest.raises(ValueError, match=r"^epoch must lie in \[0, 80\], got 81$"):
+        lambda_schedule(lin, 81, 80)
+    for schedule in ("constant", "warmup", "linear"):
+        with pytest.raises(ValueError, match=r"^epochs must be >= 1, got 0$"):
+            lambda_schedule(LossConfig(schedule=schedule), 0, 0)
+
+
+BAD_WEIGHTS_AND_FLOORS = [
+    (dict(lam=-1e-3), "lam must be finite and >= 0, got -0.001"),
+    (dict(lam=math.nan), "lam must be finite and >= 0, got nan"),
+    (dict(lam=math.inf), "lam must be finite and >= 0, got inf"),
+    (dict(eps=0.0), r"eps must be in \(0, 1e-4\], got 0.0"),
+    (dict(eps=1e-3), r"eps must be in \(0, 1e-4\], got 0.001"),
+]
 
 
 def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(lam=-1e-3)
-    with pytest.raises(ValueError):
-        LossConfig(lam=math.nan)
-    with pytest.raises(ValueError):
-        LossConfig(lam=math.inf)
-    with pytest.raises(ValueError):
-        LossConfig(eps=0.0)
-    with pytest.raises(ValueError):
-        LossConfig(eps=1e-3)
-    with pytest.raises(ValueError):
+    for kwargs, message in BAD_WEIGHTS_AND_FLOORS:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LossConfig(**kwargs)
+    with pytest.raises(ValueError, match="schedule must be one of"):
         LossConfig(schedule="cosine")
-    with pytest.raises(ValueError):
-        LossConfig(total_epochs=0)
+    # the schedule's horizon is the training run's length, not a loss setting
+    with pytest.raises(TypeError, match="total_epochs"):
+        LossConfig(total_epochs=60)
+
+
+@pytest.mark.parametrize("kwargs, message", BAD_WEIGHTS_AND_FLOORS)
+def test_dappr_loss_rejects_what_loss_config_rejects(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dappr_loss(np.zeros((2, 3)), np.array([0, 1]), **kwargs)
+
+
+def test_losses_take_only_the_numbers_they_use():
+    assert [f.name for f in fields(LossConfig)] == ["lam", "eps", "schedule"]
+    assert [f.name for f in fields(LossOutput)] == [
+        "value", "grad_logits", "surrogate_term", "regulariser"]
+    assert list(inspect.signature(cross_entropy_loss).parameters) == ["logits", "labels"]
+    defaults = {name: param.default
+                for name, param in inspect.signature(dappr_loss).parameters.items()}
+    assert defaults == {"logits": inspect.Parameter.empty,
+                        "labels": inspect.Parameter.empty, "lam": 0.0, "eps": 1e-8}
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +243,20 @@ def test_loss_config_validation():
 
 
 def test_dappr_loss_frozen_value():
-    out = dappr_loss(np.zeros((1, 2)), np.array([0]), LossConfig(lam=0.0), 0)
+    out = dappr_loss(np.zeros((1, 2)), np.array([0]))
     assert abs(out.value - (-0.326968552235965)) < 1e-12
     assert out.regulariser == pytest.approx((1.0 + math.log(2.0)) ** 2, abs=1e-12)
-    assert out.lam_t == 0.0
+    # the default weight is 0: the value is the surrogate alone
+    assert out.value == out.surrogate_term
 
 
 def test_dappr_loss_value_decomposition():
     rng = np.random.default_rng(0)
     z = rng.normal(size=(5, 3))
     labels = rng.integers(0, 3, size=5)
-    cfg = LossConfig(lam=3e-3)
-    out = dappr_loss(z, labels, cfg, 0)
-    assert out.value == pytest.approx(out.surrogate_term + out.lam_t * out.regulariser,
+    out = dappr_loss(z, labels, lam=3e-3)
+    assert out.value == pytest.approx(out.surrogate_term + 3e-3 * out.regulariser,
                                       abs=1e-15)
-    assert out.lam_t == 3e-3
     assert out.grad_logits.shape == z.shape
 
 
@@ -236,9 +264,8 @@ def test_dappr_loss_batch_is_mean_of_singles():
     rng = np.random.default_rng(1)
     z = rng.normal(size=(4, 3))
     labels = np.array([0, 2, 1, 1])
-    cfg = LossConfig(lam=2e-3)
-    whole = dappr_loss(z, labels, cfg, 0)
-    singles = [dappr_loss(z[i : i + 1], labels[i : i + 1], cfg, 0) for i in range(4)]
+    whole = dappr_loss(z, labels, lam=2e-3)
+    singles = [dappr_loss(z[i : i + 1], labels[i : i + 1], lam=2e-3) for i in range(4)]
     assert whole.value == pytest.approx(np.mean([s.value for s in singles]), abs=1e-14)
     stacked = np.vstack([s.grad_logits for s in singles]) / 4.0
     assert np.allclose(whole.grad_logits, stacked, atol=1e-15)
@@ -250,9 +277,8 @@ def test_dappr_gradient_matches_frozen_pstar_fd(seed, lam):
     rng = np.random.default_rng(seed)
     z = rng.normal(0.0, 2.0, size=(3, 3))
     labels = rng.integers(0, 3, size=3)
-    cfg = LossConfig(lam=lam)
-    analytic = dappr_loss(z, labels, cfg, 0).grad_logits
-    fd = gradcheck.dappr_loss_fd_gradient(z, labels, cfg)
+    analytic = dappr_loss(z, labels, lam).grad_logits
+    fd = gradcheck.dappr_loss_fd_gradient(z, labels, lam)
     assert gradcheck.relative_error(analytic, fd) < 1e-6
 
 
@@ -286,27 +312,25 @@ def test_detach_semantics_differ_from_full_derivative():
     DIFFERENT derivative; the implementation must match the frozen-p* one."""
     z = np.array([[0.3, -0.2, 0.1]])
     labels = np.array([1])
-    cfg = LossConfig(lam=0.0)
-    analytic = dappr_loss(z, labels, cfg, 0).grad_logits
+    analytic = dappr_loss(z, labels).grad_logits
 
-    frozen_fd = gradcheck.dappr_loss_fd_gradient(z, labels, cfg)
+    frozen_fd = gradcheck.dappr_loss_fd_gradient(z, labels, 0.0)
     assert gradcheck.relative_error(analytic, frozen_fd) < 1e-7
 
     def full_value(zs):
-        return dappr_loss(zs, np.broadcast_to(labels, zs.shape[:-1]), cfg, 0).value
+        return dappr_loss(zs, np.broadcast_to(labels, zs.shape[:-1])).value
 
     naive_fd = gradcheck.fd_gradient(full_value, z)
     assert gradcheck.relative_error(analytic, naive_fd) > 1e-3
 
 
 def test_dappr_loss_input_validation():
-    cfg = LossConfig()
     with pytest.raises(ValueError):
-        dappr_loss(np.zeros(3), np.array([0]), cfg)  # 1-d logits
+        dappr_loss(np.zeros(3), np.array([0]))  # 1-d logits
     with pytest.raises(ValueError):
-        dappr_loss(np.zeros((1, 1)), np.array([0]), cfg)  # single class
+        dappr_loss(np.zeros((1, 1)), np.array([0]))  # single class
     with pytest.raises(ValueError):
-        dappr_loss(np.array([[np.inf, 0.0]]), np.array([0]), cfg)
+        dappr_loss(np.array([[np.inf, 0.0]]), np.array([0]))
 
 
 @pytest.mark.parametrize("loss_fn", [dappr_loss, cross_entropy_loss])
@@ -319,7 +343,7 @@ def test_dappr_loss_input_validation():
 ])
 def test_losses_need_one_label_per_row(loss_fn, shape, labels):
     with pytest.raises(ValueError, match="does not match logits"):
-        loss_fn(np.zeros(shape), np.array(labels), LossConfig())
+        loss_fn(np.zeros(shape), np.array(labels))
 
 
 def _same_bits(a, b) -> bool:
@@ -338,17 +362,17 @@ def test_stacked_losses_equal_each_batch_alone(seed, s, b, k, lam, schedule, epo
     rng = np.random.default_rng(seed)
     logits = rng.normal(0.0, 3.0, size=(s, 2 * b if sliced else b, k))[:, :b]
     labels = rng.integers(0, k, size=(s, b))
-    cfg = LossConfig(lam=lam, schedule=schedule, total_epochs=20)
-    for loss_fn in (dappr_loss, cross_entropy_loss):
-        stacked = loss_fn(logits, labels, cfg, epoch)
+    # training binds each epoch's scheduled weight, as here
+    lam_t = lambda_schedule(LossConfig(lam=lam, schedule=schedule), epoch, 20)
+    for loss_fn in (partial(dappr_loss, lam=lam_t), cross_entropy_loss):
+        stacked = loss_fn(logits, labels)
         assert stacked.value.shape == (s,) and stacked.grad_logits.shape == (s, b, k)
         for i in range(s):
-            alone = loss_fn(logits[i].copy(), labels[i], cfg, epoch)
+            alone = loss_fn(logits[i].copy(), labels[i])
             assert type(alone.value) is float
             for field in ("value", "surrogate_term", "regulariser", "grad_logits"):
                 got = getattr(stacked, field)
                 assert _same_bits(got[i] if np.ndim(got) else got, getattr(alone, field)), field
-            assert stacked.lam_t == alone.lam_t
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import inspect
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from dappr import gradcheck, nn
 from dappr.datasets import gaussian_blobs, two_moons
 from dappr import loss
-from dappr.loss import LossConfig, cross_entropy_loss, dappr_loss, softplus
+from dappr.loss import (LossConfig, cross_entropy_loss, dappr_loss, lambda_schedule,
+                        softplus, vacuous_evidence_penalty)
 from dappr.nn import (
     BACKGROUND_SCALE,
     NetworkParams,
@@ -185,19 +188,18 @@ def test_end_to_end_gradients_match_fd(loss_kind, sizes):
     params = init_network(sizes, seed=3, loss_kind=loss_kind)
     x = rng.normal(size=(6, sizes[0]))
     labels = rng.integers(0, sizes[-1], size=6)
-    cfg = LossConfig(lam=2e-3)
 
     from dappr.nn import _forward_cached, backward
 
     acts = _forward_cached(params, x)
     if loss_kind == "dappr":
-        out = dappr_loss(acts[-1], labels, cfg, 0)
-        fd = gradcheck.step_fd_gradient(params, x, labels, cfg)
+        out = dappr_loss(acts[-1], labels, lam=2e-3)
+        fd = gradcheck.step_fd_gradient(params, x, labels, 2e-3)
     else:
-        out = cross_entropy_loss(acts[-1], labels, cfg, 0)
+        out = cross_entropy_loss(acts[-1], labels)
         fd = gradcheck.network_fd_gradient(
             params, x, lambda logits: cross_entropy_loss(
-                logits, np.broadcast_to(labels, logits.shape[:-1]), cfg, 0).value)
+                logits, np.broadcast_to(labels, logits.shape[:-1])).value)
 
     grad, grads = pack_network(params)
     backward(params, acts, out.grad_logits, grads)
@@ -211,17 +213,18 @@ def test_training_step_with_background_matches_fd(sizes):
     x = rng.normal(size=(6, sizes[0]))
     background = rng.normal(0.0, 4.0, size=(6, sizes[0]))
     labels = rng.integers(0, sizes[-1], size=6)
-    cfg = LossConfig(lam=2e-3)
 
     # training's step on a stack of one network
     _, stack = pack_network(params, copies=1)
     grad, grads = pack_network(params, copies=1)
-    out = _step_gradients(stack, x[None], labels[None], dappr_loss, cfg, 0, grads,
-                          background[None])
+    out, vacuous = _step_gradients(stack, x[None], labels[None],
+                                   partial(dappr_loss, lam=2e-3), grads, background[None])
     data_logits = forward(params, x)
-    assert out.value[0] == pytest.approx(dappr_loss(data_logits, labels, cfg, 0).value,
+    assert out.value[0] == pytest.approx(dappr_loss(data_logits, labels, 2e-3).value,
                                          rel=1e-12)
-    fd = gradcheck.step_fd_gradient(params, x, labels, cfg, background)
+    assert vacuous[0] == pytest.approx(
+        vacuous_evidence_penalty(forward(params, background))[0], rel=1e-12)
+    fd = gradcheck.step_fd_gradient(params, x, labels, 2e-3, background)
     assert gradcheck.relative_error(grad[0], fd) < 1e-4
 
 
@@ -267,8 +270,7 @@ def test_network_fd_gradient_equals_a_loop_over_one_network():
     params = init_network((3, 16, 8, 4), seed=11)
     x = rng.normal(size=(6, 3))
     labels = rng.integers(0, 4, size=6)
-    value_fn = gradcheck.frozen_pstar_objective(forward(params, x), labels,
-                                                LossConfig(lam=2e-3))
+    value_fn = gradcheck.frozen_pstar_objective(forward(params, x), labels, 2e-3)
     got = gradcheck.network_fd_gradient(params, x, value_fn)
 
     flat, packed = pack_network(params)
@@ -297,7 +299,7 @@ def test_relu_blocks_gradient_through_dead_units():
 
     x = np.array([[0.5]])
     acts = _forward_cached(p, x)
-    out = cross_entropy_loss(acts[-1], np.array([0]), None, 0)
+    out = cross_entropy_loss(acts[-1], np.array([0]))
     _, grads = pack_network(p)
     backward(p, acts, out.grad_logits, grads)
     assert grads.weights[0][0, 1] == 0.0  # into the dead unit
@@ -479,9 +481,7 @@ def _assert_same_training(got, want):
     assert p.seed == q.seed and p.loss_kind == q.loss_kind
     assert all(np.array_equal(a, b) for a, b in zip(p.weights + p.biases,
                                                     q.weights + q.biases))
-    assert h.train_loss == g.train_loss
-    assert h.val_accuracy == g.val_accuracy
-    assert h.val_mean_alpha0 == g.val_mean_alpha0
+    assert vars(h) == vars(g)  # every per-epoch field, loss components included
 
 
 def _moons_split():
@@ -529,7 +529,8 @@ def test_stacked_step_calls_loss_and_optimizer_once_per_step(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setitem(nn._LOSS_FNS, "dappr", counted("loss", real_loss))
+    # train looks the loss up as an nn global, so a patched one is what it calls
+    monkeypatch.setattr(nn, "dappr_loss", counted("loss", real_loss))
     monkeypatch.setattr(_Adam, "step", counted("optim_step", real_step))
     monkeypatch.setattr(nn, "backward", counted("backward", real_backward))
     cfg = TrainConfig(layer_sizes=(2, 8, 3), epochs=2, batch_size=20, seed=1)
@@ -619,9 +620,43 @@ def test_train_loss_records_the_data_term_only():
     # one full batch: the epoch's loss is taken at the initial weights
     init = init_network((2, 8, 3), seed=8)
     perm = np.random.default_rng([8, 1, 0]).permutation(tx.shape[0])
-    data_term = dappr_loss(forward(init, tx[perm]), ty[perm],
-                           LossConfig(total_epochs=1), 0).value
+    data_term = dappr_loss(forward(init, tx[perm]), ty[perm], cfg.loss.lam).value
     assert h.train_loss[0] == pytest.approx(data_term, rel=1e-12)
+    # the background rows' penalty is recorded on its own
+    centre, scale = background_law(tx)
+    background = centre + scale * np.random.default_rng([8, 2, 0]).standard_normal(tx.shape)
+    penalty = vacuous_evidence_penalty(forward(init, background))[0]
+    assert h.train_vacuous[0] == pytest.approx(penalty, rel=1e-12)
+
+
+@pytest.mark.parametrize("schedule", ["constant", "warmup", "linear"])
+def test_history_records_the_loss_components(schedule):
+    tx, ty, vx, vy = _blob_split()
+    cfg = TrainConfig(layer_sizes=(2, 8, 3), epochs=12, batch_size=20, seed=3,
+                      loss=LossConfig(lam=2e-2, schedule=schedule))
+    _, h = train(tx, ty, vx, vy, cfg)
+    # the schedule's horizon is the run's own length
+    assert h.lam_t == [lambda_schedule(cfg.loss, epoch, cfg.epochs) for epoch in range(12)]
+    for value, surrogate, lam_t, regulariser in zip(h.train_loss, h.train_surrogate,
+                                                    h.lam_t, h.train_regulariser):
+        assert value == pytest.approx(surrogate + lam_t * regulariser, rel=1e-12)
+    assert min(h.train_regulariser) > 0.0 and min(h.train_vacuous) > 0.0
+
+
+def test_cross_entropy_history_has_no_penalty_components():
+    tx, ty, vx, vy = _blob_split()
+    cfg = TrainConfig(layer_sizes=(2, 8, 3), epochs=3, batch_size=20, seed=3,
+                      loss_kind="cross_entropy", loss=LossConfig(lam=0.5))
+    _, h = train(tx, ty, vx, vy, cfg)
+    assert h.train_surrogate == h.train_loss
+    assert h.lam_t == h.train_regulariser == h.train_vacuous == [0.0] * 3
+
+
+def test_step_gradients_takes_a_bound_loss():
+    # the loss arrives with its weight bound; no config or epoch passes through
+    assert list(inspect.signature(_step_gradients).parameters) == [
+        "params", "x", "labels", "loss_fn", "grads", "background"]
+    assert not hasattr(nn, "_LOSS_FNS")
 
 
 def test_vacuous_term_lowers_evidence_off_the_data(monkeypatch):
@@ -651,8 +686,7 @@ def _plain_cross_entropy_training(tx, ty, cfg):
         for start in range(0, tx.shape[0], cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             acts = _forward_cached(ref, tx[idx])
-            out = cross_entropy_loss(acts[-1], ty[idx], LossConfig(total_epochs=cfg.epochs),
-                                     epoch)
+            out = cross_entropy_loss(acts[-1], ty[idx])
             backward(ref, acts, out.grad_logits, grads)
             for w, gw in zip(ref.weights, grads.weights):
                 gw += cfg.weight_decay * w
