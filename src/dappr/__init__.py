@@ -8,8 +8,7 @@ detection, data-scaling and leave-one-out studies.
 """
 
 from .datasets import (LabeledDataset, SplitSpec, gaussian_blobs, load_csv,
-                       long_tail_resample, ood_generator, save_csv, split,
-                       two_moons)
+                       long_tail_resample, ood_generator, split, two_moons)
 from .errors import (CsvParseError, DapprError, DegenerateAlphaError,
                      MaximiserValidityError, MetricUndefinedError,
                      StratificationError)
@@ -22,7 +21,7 @@ from .metrics import (ReliabilityBins, aleatoric_uncertainty, aupr, auroc,
                       softmax_entropy)
 from .nn import (NetworkParams, TrainConfig, TrainHistory, background_law,
                  forward, init_network, load_checkpoint, predict_alpha,
-                 predict_labels, save_checkpoint, train)
+                 save_checkpoint, train)
 from .possibility import (DirichletParams, PossibilityTable, SimplexPoint,
                           dirichlet_mode, dirichlet_possibility,
                           grid_argmax_surrogate, log_dirichlet_possibility,

@@ -306,11 +306,3 @@ def load_csv(path) -> LabeledDataset:
         raise ValueError("need labels from at least 2 classes (max label >= 1)")
     return LabeledDataset(np.asarray(features), np.asarray(labels, dtype=np.int64),
                           n_classes)
-
-
-def save_csv(ds: LabeledDataset, path) -> None:
-    """Write the dataset in the load_csv dialect (floats via repr, no header)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row, label in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])

@@ -33,7 +33,7 @@ from .loss import (LossConfig, dappr_loss, log_softmax, one_hot, softmax,
 from .metrics import (aleatoric_uncertainty, aupr, auroc, ece,
                       epistemic_uncertainty, reliability_bins,
                       softmax_entropy)
-from .nn import (LOSS_KINDS, NetworkParams, TrainConfig, _Adam, _forward_cached,
+from .nn import (NetworkParams, TrainConfig, _Adam, _forward_cached,
                  backward, forward, init_network, load_checkpoint, pack_network,
                  save_checkpoint, train)
 from .possibility import (DirichletParams, SimplexPoint, _over_classes,
@@ -93,15 +93,15 @@ class ModelSpec:
     learning_rate: float = 1e-3
     epochs: int = 60
     batch_size: int = 32
-    optimizer: str = "adam"
     loss_kind: str = "dappr"
-    early_stopping: bool = False
-    weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"model.loss_kind must be one of {LOSS_KINDS}, "
-                             f"got {self.loss_kind!r}")
+        # TrainConfig's own checks, at load; 1 stands for the data's widths
+        try:
+            TrainConfig((1, *self.hidden, 1), self.epochs, self.batch_size, 0,
+                        self.learning_rate, self.loss_kind)
+        except ValueError as exc:
+            raise ValueError(f"model.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -274,11 +274,8 @@ def train_config(cfg: ExperimentConfig, seed: int, n_features: int,
         batch_size=cfg.model.batch_size,
         seed=seed,
         learning_rate=cfg.model.learning_rate,
-        optimizer=cfg.model.optimizer,
         loss_kind=cfg.model.loss_kind,
         loss=cfg.loss,
-        early_stopping=cfg.model.early_stopping,
-        weight_decay=cfg.model.weight_decay,
     )
 
 

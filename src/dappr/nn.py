@@ -40,7 +40,6 @@ from .loss import (LossConfig, cross_entropy_loss, dappr_loss, lambda_schedule,
                    softplus, softplus_plus_one, vacuous_evidence_penalty)
 from .possibility import DirichletParams
 
-OPTIMIZERS = ("adam", "sgd")
 LOSS_KINDS = ("dappr", "cross_entropy")
 # Background law for the vacuous-evidence term: a Gaussian at the training
 # mean whose per-feature std is this multiple of the training std.  Twice the
@@ -69,29 +68,22 @@ class TrainConfig:
     batch_size: int
     seed: int
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     loss_kind: str = "dappr"
     loss: LossConfig = field(default_factory=LossConfig)
-    early_stopping: bool = False
-    weight_decay: float = 0.0
 
     def __post_init__(self):
-        if len(self.layer_sizes) < 2:
-            raise ValueError("need at least input and output layer sizes")
-        if any(s < 1 for s in self.layer_sizes):
-            raise ValueError(f"layer sizes must be positive, got {self.layer_sizes}")
+        if len(self.layer_sizes) < 2 or min(self.layer_sizes[0], self.layer_sizes[-1]) < 1:
+            raise ValueError(f"need positive input and output layer sizes, got {self.layer_sizes}")
+        if any(s < 1 for s in self.layer_sizes[1:-1]):
+            raise ValueError(f"hidden sizes must be positive, got {self.layer_sizes[1:-1]}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
 
 
 @dataclass(eq=False)
@@ -256,14 +248,6 @@ class _Adam:
         flat -= step
 
 
-class _Sgd:
-    def __init__(self, flat, lr):
-        self.lr = lr
-
-    def step(self, flat, grad):
-        flat -= self.lr * grad
-
-
 def background_law(train_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(centre, scale) of the Gaussian background law, from training inputs only.
 
@@ -317,9 +301,7 @@ def train(train_x, train_y, val_x, val_y, cfg):
     their own derived seed, which carry the vacuous-evidence penalty;
     history.train_loss records the data term only, train_vacuous the
     penalty.  Epoch e weighs the penalty by lambda_schedule(cfg.loss, e,
-    cfg.epochs).  With early stopping enabled the
-    returned params are the best-validation-accuracy snapshot, otherwise the
-    final ones; epochs=0 returns the freshly initialized network.  A
+    cfg.epochs).  epochs=0 returns the freshly initialized network.  A
     network whose last validation pass gives alpha0 == K on every row has
     diverged, and raises ValueError naming its seed; an empty validation
     set skips that check.
@@ -345,18 +327,15 @@ def train(train_x, train_y, val_x, val_y, cfg):
     for row, net in zip(flat, nets):
         row[...] = pack_network(net)[0]
     grad, grads = pack_network(nets[0], copies=len(nets))
-    n_weights = sum(w.size for w in nets[0].weights)
     histories = [TrainHistory() for _ in configs]
     # looked up on each call of train, so a patched module global is what runs
     lam_t, loss_fn = 0.0, cross_entropy_loss
-    opt = (_Adam if first.optimizer == "adam" else _Sgd)(flat, first.learning_rate)
+    opt = _Adam(flat, first.learning_rate)
 
     n, d = train_x.shape
     vacuous = first.loss_kind == "dappr"
     if vacuous:
         centre, scale = background_law(train_x)
-    best = [None] * len(configs)
-    best_acc = [-1.0] * len(configs)
     for epoch in range(first.epochs):
         perms = np.stack([np.random.default_rng([seed, 1, epoch]).permutation(n)
                           for seed in seeds])
@@ -375,8 +354,6 @@ def train(train_x, train_y, val_x, val_y, cfg):
             labels = shuffled_y[:, rows]
             out, vacuous_term = _step_gradients(params, shuffled_x[:, rows], labels, loss_fn,
                                                 grads, background[:, rows] if vacuous else None)
-            if first.weight_decay > 0.0:
-                grad[:, :n_weights] += first.weight_decay * flat[:, :n_weights]
             opt.step(flat, grad)
             b = labels.shape[1]
             epoch_loss += out.value * b
@@ -395,9 +372,6 @@ def train(train_x, train_y, val_x, val_y, cfg):
             acc = float(np.mean(np.argmax(logits[s], axis=1) == val_y)) if val_y.size else 0.0
             history.val_accuracy.append(acc)
             history.val_mean_alpha0.append(float(np.mean(val_alpha0[s])) if val_y.size else 0.0)
-            if first.early_stopping and acc > best_acc[s]:
-                best_acc[s] = acc
-                best[s] = flat[s].copy()
 
     # every logit below softplus's underflow point: the network has lost all
     # evidence, and every score built on it would read as a success
@@ -408,16 +382,9 @@ def train(train_x, train_y, val_x, val_y, cfg):
                                  f"K = {first.layer_sizes[-1]} on every validation row "
                                  f"after the last epoch")
 
-    for row, snapshot in zip(flat, best):
-        if snapshot is not None:
-            row[...] = snapshot
     results = [(replace(network_slice(params, s), seed=seed), history)
                for s, (seed, history) in enumerate(zip(seeds, histories))]
     return results[0] if isinstance(cfg, TrainConfig) else results
-
-
-def predict_labels(params: NetworkParams, x) -> np.ndarray:
-    return np.argmax(forward(params, x), axis=1)
 
 
 def predict_alpha(params: NetworkParams, x) -> DirichletParams:

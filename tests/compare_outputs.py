@@ -13,11 +13,12 @@ with its own configs and with the same relative output paths:
 * ``verify``.
 
 Every command's exit code and stdout are kept next to the files it writes.
-Then for each file it prints "identical", the largest relative difference
-of its numeric fields, or the first structural difference.  Reports are
-compared without ``run_info`` and ``config.out``.  The script bounds
-nothing: it reports and exits 0, and judging a difference is up to the
-reader.
+Then for each file it prints "identical", or its differences: every field
+found in one file only, every field whose non-numeric value differs, and
+the largest relative difference of the numeric fields both files have.
+Reports are compared without ``run_info`` and ``config.out``.  The script
+bounds nothing: it reports and exits 0, and judging a difference is up to
+the reader.
 """
 
 from __future__ import annotations
@@ -106,24 +107,29 @@ def _relative_difference(x: float, y: float) -> float:
 
 
 def compare_files(a: Path, b: Path) -> str:
-    """The verdict on two output files: "identical", the largest relative
-    difference of their numeric fields, or their first structural difference."""
+    """The verdict on two output files: "identical", or their differences.
+
+    Fields are paired by path, so a field one file lacks hides nothing
+    after it: each such path is listed, then each shared path whose values
+    differ but are not both numbers, then the largest relative difference
+    over the shared numeric fields, all joined by "; ".
+    """
     va, vb = _parse(a), _parse(b)
     if json.dumps(va, sort_keys=True) == json.dumps(vb, sort_keys=True):
         return "identical"
-    la, lb = _leaves(va), _leaves(vb)
+    la, lb = dict(_leaves(va)), dict(_leaves(vb))
+    notes = [f"{path or '(root)'} only in the {side}"
+             for side, only in (("first", la.keys() - lb.keys()),
+                                ("second", lb.keys() - la.keys()))
+             for path in sorted(only)]
     worst = 0.0
-    for (pa, xa), (pb, xb) in zip(la, lb):
-        if pa != pb:
-            return f"structure differs: {pa or '(root)'} vs {pb or '(root)'}"
+    for path in sorted(la.keys() & lb.keys()):
+        xa, xb = la[path], lb[path]
         if _is_number(xa) and _is_number(xb):
             worst = max(worst, _relative_difference(float(xa), float(xb)))
         elif xa != xb:
-            return f"structure differs at {pa or '(root)'}: {xa!r} vs {xb!r}"
-    if len(la) != len(lb):
-        path, side = (la[len(lb)][0], "first") if len(la) > len(lb) else (lb[len(la)][0], "second")
-        return f"structure differs: {path or '(root)'} only in the {side}"
-    return f"max relative difference {worst:.3e}"
+            notes.append(f"{path or '(root)'} differs: {xa!r} vs {xb!r}")
+    return "; ".join(notes + [f"max relative difference {worst:.3e}"])
 
 
 def compare_trees(a: Path, b: Path) -> dict[str, str]:

@@ -24,13 +24,21 @@ def test_compare_trees_reports_each_kind_of_difference(tmp_path):
     _write(a, "verify/stdout.txt", "exit code 0\n[PASS] closed_form_vs_grid  (max gap 4.0e-03)\n")
     _write(b, "verify/stdout.txt", "exit code 0\n[PASS] closed_form_vs_grid  (max gap 5.0e-03)\n")
     _write(a, "train/history.csv", "epoch,loss\n0,1.5\n")
+    # a key removed early in the file hides no number after it
+    _write(a, "sweep/report.json", {"config": {"model": {"epochs": 3, "optimizer": "adam"}},
+                                    "mean": {"accuracy": 90.0, "kind": "ood"}})
+    _write(b, "sweep/report.json", {"config": {"model": {"epochs": 3}},
+                                    "mean": {"accuracy": 99.0, "kind": "id", "n": 4}})
 
     verdicts = compare_trees(a, b)
 
     assert verdicts == {
         "ood/report.json": "identical",
         "ood/sweep.csv": "max relative difference 1.000e-07",
-        "probe/report.json": "structure differs: mean.ece only in the first",
+        "probe/report.json": "mean.ece only in the first; max relative difference 0.000e+00",
         "verify/stdout.txt": "max relative difference 2.000e-01",
         "train/history.csv": "only in the first",
+        "sweep/report.json": ("config.model.optimizer only in the first; "
+                              "mean.n only in the second; mean.kind differs: 'ood' vs 'id'; "
+                              "max relative difference 9.091e-02"),
     }

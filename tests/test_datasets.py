@@ -11,12 +11,12 @@ from dappr.datasets import (
     load_csv,
     long_tail_resample,
     ood_generator,
-    save_csv,
     split,
     stratified_subsample,
     two_moons,
 )
 from dappr.errors import CsvParseError, StratificationError
+from fixtures import save_csv
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from dappr import harness, nn
 from dappr.cli import main
-from dappr.datasets import LabeledDataset, gaussian_blobs, long_tail_resample, save_csv
+from dappr.datasets import LabeledDataset, gaussian_blobs, long_tail_resample
 from dappr.harness import (
     HISTOGRAM_BINS,
     ExperimentConfig,
@@ -36,6 +36,7 @@ from dappr.harness import (
 )
 from dappr.metrics import ECE_BINS
 from dappr.nn import NetworkParams, forward, save_checkpoint, train
+from fixtures import save_csv
 from oracles import row_uncertainties, soft_label_finetune, total_cross_entropy
 
 
@@ -740,6 +741,20 @@ def test_cli_rejects_probe_settings_that_cannot_run(tmp_path, capsys, key, value
     # the probe always trains cross-entropy, and still refuses an unknown kind
     ("probe", {"model": {"loss_kind": "mse"}}, [],
      "model.loss_kind must be one of ('dappr', 'cross_entropy'), got 'mse'"),
+    # the runner is the subcommand; a config naming another one is refused
+    ("ood", {"experiment": "probe"}, [], "unknown config keys: ['experiment']"),
+    # the horizon is the run's model.epochs; a value here used to be ignored
+    ("ood", {"loss": {"total_epochs": 60}}, [], "unknown loss keys: ['total_epochs']"),
+    # training has one optimizer, Adam, with no weight decay or early stopping
+    ("ood", {"model": {"optimizer": "adam"}}, [], "unknown model keys: ['optimizer']"),
+    ("ood", {"model": {"early_stopping": False}}, [],
+     "unknown model keys: ['early_stopping']"),
+    ("ood", {"model": {"weight_decay": 0.0}}, [], "unknown model keys: ['weight_decay']"),
+    # TrainConfig's checks, which used to run after the dataset was built
+    ("ood", {"model": {"learning_rate": 0}}, [], "model.learning_rate must be > 0, got 0"),
+    ("ood", {"model": {"batch_size": 0}}, [], "model.batch_size must be >= 1, got 0"),
+    ("ood", {"model": {"epochs": -1}}, [], "model.epochs must be >= 0, got -1"),
+    ("ood", {"model": {"hidden": [0]}}, [], "model.hidden sizes must be positive, got (0,)"),
 ])
 def test_cli_rejects_bad_settings_at_load_naming_the_key(tmp_path, capsys, command,
                                                           extra, flags, message):
@@ -749,17 +764,6 @@ def test_cli_rejects_bad_settings_at_load_naming_the_key(tmp_path, capsys, comma
     cfg_path.write_text(json.dumps({**TINY_CONFIG, **extra, "out": str(tmp_path / "out")}))
     assert main([command, "--config", str(cfg_path), *flags]) == 1
     assert _single_error_line(capsys.readouterr().err) == f"error: {message}"
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_rejects_the_experiment_key(tmp_path, capsys):
-    # the runner is the subcommand; a config naming another one is refused
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**TINY_CONFIG, "experiment": "probe",
-                                    "out": str(tmp_path / "out")}))
-    assert main(["ood", "--config", str(cfg_path)]) == 1
-    line = _single_error_line(capsys.readouterr().err)
-    assert line == "error: unknown config keys: ['experiment']"
     assert not (tmp_path / "out").exists()
 
 
@@ -841,17 +845,6 @@ def test_cli_failed_run_leaves_no_earlier_report(tmp_path, capsys):
     line = _single_error_line(capsys.readouterr().err)
     assert line.startswith("error: training diverged for seed 1")
     assert not (out / "report.json").exists()
-
-
-def test_cli_rejects_the_loss_schedule_horizon_key(tmp_path, capsys):
-    # the horizon is the run's model.epochs; a value here used to be ignored
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**TINY_CONFIG, "loss": {"total_epochs": 60},
-                                    "out": str(tmp_path / "out")}))
-    assert main(["ood", "--config", str(cfg_path)]) == 1
-    line = _single_error_line(capsys.readouterr().err)
-    assert line == "error: unknown loss keys: ['total_epochs']"
-    assert not (tmp_path / "out").exists()
 
 
 def test_cli_ood_runner_and_lambda_override(tmp_path, capsys):

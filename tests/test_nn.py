@@ -19,7 +19,6 @@ from dappr.nn import (
     TrainConfig,
     _Adam,
     _forward_cached,
-    _Sgd,
     _step_gradients,
     backward,
     background_law,
@@ -29,7 +28,6 @@ from dappr.nn import (
     network_slice,
     pack_network,
     predict_alpha,
-    predict_labels,
     save_checkpoint,
     train,
 )
@@ -167,12 +165,14 @@ def test_forward_rejects_wrong_width():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(layer_sizes=(2,), epochs=1, batch_size=8, seed=0)
+    with pytest.raises(ValueError, match=r"input and output layer sizes, got \(0, 3\)"):
+        TrainConfig(layer_sizes=(0, 3), epochs=1, batch_size=8, seed=0)
+    with pytest.raises(ValueError, match=r"^hidden sizes must be positive, got \(4, 0\)$"):
+        TrainConfig(layer_sizes=(2, 4, 0, 3), epochs=1, batch_size=8, seed=0)
     with pytest.raises(ValueError):
         TrainConfig(layer_sizes=(2, 3), epochs=-1, batch_size=8, seed=0)
     with pytest.raises(ValueError):
         TrainConfig(layer_sizes=(2, 3), epochs=1, batch_size=0, seed=0)
-    with pytest.raises(ValueError):
-        TrainConfig(layer_sizes=(2, 3), epochs=1, batch_size=8, seed=0, optimizer="lbfgs")
     with pytest.raises(ValueError):
         TrainConfig(layer_sizes=(2, 3), epochs=1, batch_size=8, seed=0, loss_kind="mse")
 
@@ -435,22 +435,6 @@ def test_one_adam_on_a_stack_equals_one_adam_per_network(seed, s, block):
     assert flat.tobytes() == rows.tobytes()
 
 
-def test_sgd_on_packed_buffer_equals_per_array_sgd():
-    rng = np.random.default_rng(12)
-    flat, packed = pack_network(init_network((3, 16, 8, 4), seed=2))
-    ref_arrays = [a.copy() for a in packed.weights + packed.biases]
-    grad, grad_views = pack_network(packed)
-    opt = _Sgd(flat, 1e-2)
-    for _ in range(50):
-        grads = [rng.normal(size=a.shape) for a in ref_arrays]
-        for view, g in zip(grad_views.weights + grad_views.biases, grads):
-            view[...] = g
-        opt.step(flat, grad)
-        for a, g in zip(ref_arrays, grads):
-            a -= 1e-2 * g
-    assert all(np.array_equal(a, b) for a, b in zip(packed.weights + packed.biases, ref_arrays))
-
-
 @pytest.mark.parametrize("batch", [1, 7, 33])
 def test_stacked_network_equals_each_network_alone(batch):
     rng = np.random.default_rng(batch)
@@ -496,11 +480,9 @@ STACK_CASES = {
     "dappr": (_blob_split, dict(layer_sizes=(2, 16, 8, 3), epochs=4, batch_size=20)),
     "cross_entropy": (_blob_split, dict(layer_sizes=(2, 16, 3), epochs=4, batch_size=20,
                                         loss_kind="cross_entropy")),
-    # the three seeds' best validation epochs are 6, 7 and 4 of 12
-    "sgd_decay_early_stopping": (_moons_split, dict(
-        layer_sizes=(2, 16, 2), epochs=12, batch_size=16, optimizer="sgd",
-        learning_rate=0.2, loss_kind="cross_entropy", weight_decay=1e-2,
-        early_stopping=True)),
+    # K = 2 and three times the epochs
+    "two_class_long": (_moons_split, dict(layer_sizes=(2, 16, 2), epochs=12, batch_size=16,
+                                          learning_rate=0.2, loss_kind="cross_entropy")),
 }
 
 
@@ -513,9 +495,6 @@ def test_stacked_configs_train_as_each_config_alone(case):
     assert len(stacked) == len(configs)
     for cfg, got in zip(configs, stacked):
         _assert_same_training(got, train(*data, cfg))
-    if spec.get("early_stopping"):
-        best = [int(np.argmax(h.val_accuracy)) for _, h in stacked]
-        assert len(set(best)) == len(best) and max(best) < spec["epochs"] - 1
 
 
 def test_stacked_step_calls_loss_and_optimizer_once_per_step(monkeypatch):
@@ -688,8 +667,6 @@ def _plain_cross_entropy_training(tx, ty, cfg):
             acts = _forward_cached(ref, tx[idx])
             out = cross_entropy_loss(acts[-1], ty[idx])
             backward(ref, acts, out.grad_logits, grads)
-            for w, gw in zip(ref.weights, grads.weights):
-                gw += cfg.weight_decay * w
             opt.step(flat, grad)
     return ref
 
@@ -704,63 +681,12 @@ def test_cross_entropy_training_ignores_the_background():
     assert all(np.array_equal(a, b) for a, b in zip(p.biases, ref.biases))
 
 
-def test_weight_decay_applies_to_weights_only():
-    tx, ty, vx, vy = _blob_split()
-    cfg = TrainConfig(layer_sizes=(2, 8, 3), epochs=2, batch_size=16, seed=1,
-                      loss_kind="cross_entropy", weight_decay=0.1)
-    p, _ = train(tx, ty, vx, vy, cfg)
-    ref = _plain_cross_entropy_training(tx, ty, cfg)
-    assert all(np.array_equal(a, b) for a, b in zip(p.weights + p.biases,
-                                                    ref.weights + ref.biases))
-
-
 def test_history_lengths_match_epochs():
     tx, ty, vx, vy = _blob_split()
     cfg = TrainConfig(layer_sizes=(2, 8, 3), epochs=7, batch_size=16, seed=1)
     _, h = train(tx, ty, vx, vy, cfg)
     assert len(h.train_loss) == len(h.val_accuracy) == len(h.val_mean_alpha0) == 7
     assert all(a > 0 for a in h.val_mean_alpha0)
-
-
-def test_early_stopping_returns_best_validation_snapshot():
-    tx, ty, vx, vy = _moons_split()
-    cfg = TrainConfig(layer_sizes=(2, 16, 2), epochs=12, batch_size=16, seed=2,
-                      early_stopping=True)
-    p, h = train(tx, ty, vx, vy, cfg)
-    got = float(np.mean(predict_labels(p, vx) == vy))
-    assert got == pytest.approx(max(h.val_accuracy), abs=1e-12)
-
-
-def test_early_stopping_restores_the_best_epoch_weights():
-    data = _moons_split()
-    cfg = TrainConfig(layer_sizes=(2, 16, 2), epochs=12, batch_size=16, seed=2,
-                      learning_rate=1e-2, early_stopping=True)
-    p, h = train(*data, cfg)
-    best = int(np.argmax(h.val_accuracy))
-    assert best < cfg.epochs - 1  # the snapshot must differ from the final weights
-    ref, _ = train(*data, replace(cfg, epochs=best + 1, early_stopping=False))
-    assert all(np.array_equal(a, b) for a, b in zip(p.weights + p.biases,
-                                                    ref.weights + ref.biases))
-
-
-def test_sgd_optimizer_descends():
-    tx, ty, vx, vy = _blob_split()
-    cfg = TrainConfig(layer_sizes=(2, 16, 3), epochs=30, batch_size=16, seed=1,
-                      optimizer="sgd", learning_rate=1e-2, loss_kind="cross_entropy")
-    _, h = train(tx, ty, vx, vy, cfg)
-    assert h.train_loss[-1] < h.train_loss[0]
-
-
-def test_weight_decay_changes_solution():
-    tx, ty, vx, vy = _blob_split()
-    base = TrainConfig(layer_sizes=(2, 8, 3), epochs=3, batch_size=16, seed=6)
-    decayed = TrainConfig(layer_sizes=(2, 8, 3), epochs=3, batch_size=16, seed=6,
-                          weight_decay=0.1)
-    p0, _ = train(tx, ty, vx, vy, base)
-    p1, _ = train(tx, ty, vx, vy, decayed)
-    norm0 = sum(float(np.sum(w * w)) for w in p0.weights)
-    norm1 = sum(float(np.sum(w * w)) for w in p1.weights)
-    assert norm1 < norm0
 
 
 # ---------------------------------------------------------------------------
