@@ -85,7 +85,7 @@ class SplitSpec:
         if abs(sum(f) - 1.0) > 1e-9:
             raise ValueError(f"fractions must sum to 1, got {sum(f)}")
         if f[0] <= 0.0:
-            raise ValueError("train fraction must be positive")
+            raise ValueError(f"fractions[0], the train share, must be positive, got {f[0]}")
 
 
 def gaussian_blobs(n_classes: int, n_per_class: int, n_features: int,
@@ -141,6 +141,11 @@ def two_moons(n: int, noise: float, seed: int) -> LabeledDataset:
     return LabeledDataset(features, labels, 2)
 
 
+def check_rho(rho: float) -> None:
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must be in (0, 1], got {rho}")
+
+
 def long_tail_resample(ds: LabeledDataset, rho: float, seed: int) -> LabeledDataset:
     """Geometric class-imbalance profile: class k keeps ceil(n_max * rho^(k/(K-1))).
 
@@ -148,8 +153,7 @@ def long_tail_resample(ds: LabeledDataset, rho: float, seed: int) -> LabeledData
     (up to row order, which stays ascending by original index per class
     block).  Counts are capped at what each class actually has.
     """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    check_rho(rho)
     if ds.n_classes < 2:
         raise ValueError("long-tail profile needs at least 2 classes")
     counts = ds.class_counts()

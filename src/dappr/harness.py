@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck
-from .datasets import (LabeledDataset, SplitSpec, gaussian_blobs, load_csv,
-                       long_tail_resample, ood_generator, split,
+from .datasets import (LabeledDataset, SplitSpec, check_rho, gaussian_blobs,
+                       load_csv, long_tail_resample, ood_generator, split,
                        stratified_subsample, two_moons)
 from .loss import (LossConfig, dappr_loss, log_softmax, one_hot, softmax,
                    softplus_plus_one)
@@ -54,6 +54,14 @@ def _require_seed(key: str, seed: int) -> None:
     # non-negative integer", which names no key and may come after training
     if seed < 0:
         raise ValueError(f"{key} must be >= 0, got {seed}")
+
+
+def _check_as(prefix: str, check, *args) -> None:
+    """Run another object's check at load, its message prefixed to name the key."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -97,11 +105,8 @@ class ModelSpec:
 
     def __post_init__(self):
         # TrainConfig's own checks, at load; 1 stands for the data's widths
-        try:
-            TrainConfig((1, *self.hidden, 1), self.epochs, self.batch_size, 0,
-                        self.learning_rate, self.loss_kind)
-        except ValueError as exc:
-            raise ValueError(f"model.{exc}") from None
+        _check_as("model.", TrainConfig, (1, *self.hidden, 1), self.epochs,
+                  self.batch_size, 0, self.learning_rate, self.loss_kind)
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,13 @@ class ExperimentConfig:
         for seed in self.seeds:
             _require_seed("seeds", seed)
         _require_seed("split_seed", self.split_seed)
+        _check_as("split_", SplitSpec, self.split_fractions)
+        _check_as("longtail_", check_rho, self.longtail_rho)
+        for lam in self.sweep_lambdas:
+            _check_as("sweep_lambdas: ", LossConfig, lam)
+        # a size above the train split is known only once the data is built
+        if min(self.scaling_sizes, default=1) < 1:
+            raise ValueError(f"scaling_sizes must be >= 1, got {list(self.scaling_sizes)}")
 
 
 _SECTION_TYPES = {
@@ -412,13 +424,15 @@ def _aggregate(rows: list[dict], keys) -> tuple[dict, dict]:
 
 def write_report(report: dict, outdir: Path, runtime: float) -> Path:
     """Write report.json into outdir with run_info added; return its path."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas, simd = config["Build Dependencies"]["blas"], config["SIMD Extensions"]
     report = dict(report)
     report["run_info"] = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "runtime_seconds": runtime,
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "simd": {key: simd.get(key) for key in ("baseline", "found")},
     }
     path = outdir / "report.json"
     with open(path, "w", encoding="utf-8") as fh:
@@ -588,9 +602,8 @@ def run_scaling(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Training-set size sweep; epistemic uncertainty on a fixed test split."""
     train_ds, val_ds, test_ds = make_splits(cfg)
     for size in cfg.scaling_sizes:
-        if not 1 <= size <= train_ds.n:
-            raise ValueError(f"scaling size {size} is below 1 or exceeds "
-                             f"the train split ({train_ds.n})")
+        if size > train_ds.n:
+            raise ValueError(f"scaling size {size} exceeds the train split ({train_ds.n})")
 
     rows = []
     curve = []

@@ -76,34 +76,40 @@ def _check_binary(labels, scores):
 
 
 def aupr(labels, scores) -> float:
-    """Non-interpolated average precision (higher score = predicted positive)."""
+    """Average precision, higher score = predicted positive; only ties pay a second sort."""
     y, s, n_pos = _check_binary(labels, scores)
     n = y.size
-    # The stable descending order, built from numpy's faster unstable sort:
-    # number the runs of equal sorted scores, then order by (run, index).
-    # The keys run * n + index are distinct, so any sort of them is stable.
+    # numpy's faster unstable sort is the stable order if no scores tie.  Ties:
+    # number the runs of equal sorted scores and order by (run, index); the
+    # keys run * n + index are distinct, so any sort of them is stable.
     order = np.argsort(-s)
     ordered = s[order]
-    run = np.concatenate(([0], np.cumsum(ordered[1:] != ordered[:-1])))
-    order = order[np.argsort(run * n + order)]
-    hits = y[order]
-    precision = np.cumsum(hits) / np.arange(1, n + 1)
-    return float(np.sum(precision[hits == 1]) / n_pos)
+    tied = ordered[1:] == ordered[:-1]
+    if tied.any():
+        run = np.concatenate(([0], np.cumsum(~tied)))
+        order = order[np.argsort(run * n + order)]
+    # precision at the k-th positive, ranked r_k, is k / r_k; no other rank is read
+    ranks = np.flatnonzero(y[order]) + 1
+    return float(np.sum(np.arange(1, n_pos + 1) / ranks) / n_pos)
 
 
 def auroc(labels, scores) -> float:
-    """Probability a positive outranks a negative, ties counting 1/2."""
+    """P(a positive outranks a negative), ties 1/2; tie-free scores rank 1..n directly."""
     y, s, n_pos = _check_binary(labels, scores)
     n = y.size
     order = np.argsort(s)
     ordered = s[order]
-    # Runs of tied scores in sorted order: positions i..j share the average
-    # of their 1-based ranks, (i + j + 2) / 2, so the order within a run
-    # does not matter.
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    ends = np.append(starts[1:], n) - 1
+    distinct = ordered[1:] != ordered[:-1]
     ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat((starts + ends + 2) / 2.0, ends - starts + 1)
+    if distinct.all():
+        ranks[order] = np.arange(1.0, n + 1.0)
+    else:
+        # Runs of tied scores in sorted order: positions i..j share the
+        # average of their 1-based ranks, (i + j + 2) / 2, so the order
+        # within a run does not matter.
+        starts = np.flatnonzero(np.concatenate(([True], distinct)))
+        ends = np.append(starts[1:], n) - 1
+        ranks[order] = np.repeat((starts + ends + 2) / 2.0, ends - starts + 1)
     u = float(np.sum(ranks[y == 1])) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * (n - n_pos))
 
@@ -143,7 +149,7 @@ class ReliabilityBins:
 
 
 def reliability_bins(confidences, correct, n_bins: int = ECE_BINS) -> ReliabilityBins:
-    """Bin confidences on [0, 1] and summarise accuracy per bin."""
+    """Bin confidences on [0, 1] and summarise accuracy per bin, in one sort by bin."""
     if n_bins < 1:
         raise ValueError(f"need at least one bin, got n_bins={n_bins}")
     c = np.asarray(confidences, dtype=np.float64)
@@ -160,12 +166,15 @@ def reliability_bins(confidences, correct, n_bins: int = ECE_BINS) -> Reliabilit
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     mean_conf = np.full(n_bins, np.nan)
     acc = np.full(n_bins, np.nan)
-    counts = np.zeros(n_bins, dtype=np.int64)
     idx = np.minimum((c * n_bins).astype(np.int64), n_bins - 1)
-    for b in range(n_bins):
-        members = idx == b
-        counts[b] = int(np.sum(members))
-        if counts[b]:
-            mean_conf[b] = float(np.mean(c[members]))
-            acc[b] = float(np.mean(ok[members]))
+    counts = np.bincount(idx, minlength=n_bins)
+    # Each bin's slice keeps its rows in input order, so its mean has the
+    # bits of a mask's.  The smallest integer key gets numpy's radix sort.
+    order = np.argsort(idx.astype(np.min_scalar_type(n_bins - 1)), kind="stable")
+    c, ok = c[order], ok[order]
+    stops = np.cumsum(counts)
+    for b in np.flatnonzero(counts):
+        rows = slice(stops[b] - counts[b], stops[b])
+        mean_conf[b] = float(np.mean(c[rows]))
+        acc[b] = float(np.mean(ok[rows]))
     return ReliabilityBins(edges, mean_conf, acc, counts)

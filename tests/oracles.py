@@ -82,25 +82,34 @@ def numpy_pairwise_sum(values):
     return numpy_pairwise_sum(values[:half]) + numpy_pairwise_sum(values[half:])
 
 
-def binned_calibration_error(confidences, correct, n_bins):
-    """Expected calibration error from its definition, one bin at a time.
+def calibration_bins(confidences, correct, n_bins):
+    """(count, accuracy, mean confidence) of each bin, from the definition.
 
     Confidence c falls in bin min(floor(c * n_bins), n_bins - 1), so 1.0
-    joins the top bin.  Each non-empty bin adds, in bin order, its share of
-    the rows times |accuracy - mean confidence|; a mean is numpy's pairwise
-    sum divided by the count.
+    joins the top bin.  A bin keeps its rows in input order, and a mean is
+    numpy's pairwise sum divided by the count; an empty bin gives (0, None,
+    None).
     """
-    n = len(confidences)
     members = [[] for _ in range(n_bins)]
     for c, ok in zip(confidences, correct):
         members[min(int(c * n_bins), n_bins - 1)].append((float(c), float(ok)))
+    return [(len(rows),
+             numpy_pairwise_sum([ok for _, ok in rows]) / len(rows) if rows else None,
+             numpy_pairwise_sum([c for c, _ in rows]) / len(rows) if rows else None)
+            for rows in members]
+
+
+def binned_calibration_error(confidences, correct, n_bins):
+    """Expected calibration error from its definition, one bin at a time.
+
+    Each non-empty bin of calibration_bins adds, in bin order, its share of
+    the rows times |accuracy - mean confidence|.
+    """
+    n = len(confidences)
     total = 0.0
-    for rows in members:
-        if not rows:
-            continue
-        accuracy = numpy_pairwise_sum([ok for _, ok in rows]) / len(rows)
-        confidence = numpy_pairwise_sum([c for c, _ in rows]) / len(rows)
-        total += len(rows) / n * abs(accuracy - confidence)
+    for count, accuracy, confidence in calibration_bins(confidences, correct, n_bins):
+        if count:
+            total += count / n * abs(accuracy - confidence)
     return total
 
 
@@ -204,7 +213,7 @@ def row_uncertainties(logits, loss_kind):
     1 - max alpha / alpha0 for the concentration head; max softmax and the
     softmax entropy (0 log 0 = 0) for the cross-entropy head.
     """
-    alpha = np.logaddexp(0.0, logits) + 1.0
+    alpha = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits))) + 1.0
     alpha0 = alpha.sum(axis=-1)
     if loss_kind == "dappr":
         aleatoric = 1.0 - alpha.max(axis=-1) / alpha0

@@ -212,6 +212,8 @@ def test_write_report_records_numpy_and_blas_versions_under_run_info(tmp_path):
     assert run_info["runtime_seconds"] == 1.5
     assert run_info["numpy"] == np.__version__
     assert run_info["blas"] == {"name": blas["name"], "version": blas["version"]}
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    assert run_info["simd"] == {"baseline": simd["baseline"], "found": simd["found"]}
     assert on_disk == report
 
 
@@ -259,9 +261,12 @@ def test_run_scaling_rejects_oversized_request(tmp_path, monkeypatch):
         raise AssertionError("a model trained before every size was checked")
 
     monkeypatch.setattr(harness, "_fit", fit)
-    for sizes in ([5000], [12, 5000], [12, 0]):
+    for sizes in ([5000], [12, 5000]):
         with pytest.raises(ValueError, match="exceeds"):
             run_scaling(tiny_config(tmp_path, scaling_sizes=sizes))
+    # a size below 1 is refused as soon as the config is built
+    with pytest.raises(ValueError, match=r"scaling_sizes must be >= 1, got \[12, 0\]"):
+        run_scaling(tiny_config(tmp_path, scaling_sizes=[12, 0]))
 
 
 def test_run_longtail_counts_and_per_class(tmp_path):
@@ -755,6 +760,12 @@ def test_cli_rejects_probe_settings_that_cannot_run(tmp_path, capsys, key, value
     ("ood", {"model": {"batch_size": 0}}, [], "model.batch_size must be >= 1, got 0"),
     ("ood", {"model": {"epochs": -1}}, [], "model.epochs must be >= 0, got -1"),
     ("ood", {"model": {"hidden": [0]}}, [], "model.hidden sizes must be positive, got (0,)"),
+    # keys only another runner reads, which used to fail there, after out existed
+    ("ood", {"split_fractions": [0.5, 0.6, 0.1]}, [],
+     "split_fractions must sum to 1, got 1.2000000000000002"),
+    ("ood", {"longtail_rho": 0}, [], "longtail_rho must be in (0, 1], got 0"),
+    ("ood", {"sweep_lambdas": [-1]}, [], "sweep_lambdas: lam must be finite and >= 0, got -1"),
+    ("ood", {"scaling_sizes": [0]}, [], "scaling_sizes must be >= 1, got [0]"),
 ])
 def test_cli_rejects_bad_settings_at_load_naming_the_key(tmp_path, capsys, command,
                                                           extra, flags, message):

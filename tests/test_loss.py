@@ -41,6 +41,22 @@ def test_softplus_values_and_stability():
     assert np.all(softplus(z) > 0.0) or softplus(np.array([-800.0]))[0] == 0.0
 
 
+def test_softplus_within_two_ulp_of_logaddexp_and_equal_where_fixed():
+    # softplus takes logaddexp's branch through numpy's SIMD exp and log1p,
+    # so the last bits may differ; both are >= 0, so the distance in ulp is
+    # the distance of the bit patterns
+    z = np.linspace(-40.0, 40.0, 400_001)
+    got, want = softplus(z), np.logaddexp(0.0, z)
+    assert np.all(got >= 0.0) and np.all(want >= 0.0)
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 2
+    # where the value is fixed: z itself from 37 up, 0 from -746 down, and
+    # log 2 at both zeros
+    fixed = np.concatenate([np.linspace(37.0, 1e4, 10_001), -np.linspace(746.0, 1e4, 10_001),
+                            [0.0, -0.0, 800.0, -800.0, 1.7e308, -1.7e308]])
+    assert np.array_equal(softplus(fixed), np.logaddexp(0.0, fixed))
+    assert np.array_equal(softplus(fixed[:10_001]), fixed[:10_001])
+
+
 def test_softmax_rows_and_stability():
     z = np.array([[1000.0, 1000.0, 999.0], [-5.0, 0.0, 5.0]])
     p = softmax(z)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dappr.errors import DegenerateAlphaError, MetricUndefinedError
@@ -19,7 +19,8 @@ from dappr.metrics import (
 )
 from dappr.possibility import DirichletParams, SimplexPoint
 
-from oracles import binned_calibration_error, pairwise_auroc, rank_walk_average_precision
+from oracles import (binned_calibration_error, calibration_bins, pairwise_auroc,
+                     rank_walk_average_precision)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +145,15 @@ def test_ece_matches_binned_oracle_exactly(rows):
     confidences = [c for c, _ in rows]
     correct = [int(ok) for _, ok in rows]
     assert ece(confidences, correct) == binned_calibration_error(confidences, correct, ECE_BINS)
+    # bin by bin, so two swapped bins cannot hide behind an equal ECE
+    bins = reliability_bins(confidences, correct)
+    want = calibration_bins(confidences, correct, ECE_BINS)
+    for (_, _, confidence, accuracy, count), (n, acc, conf) in zip(bins.rows(), want):
+        assert count == n
+        if n:
+            assert (confidence, accuracy) == (conf, acc)
+        else:
+            assert math.isnan(confidence) and math.isnan(accuracy)
 
 
 def test_ece_perfect_calibration_is_zero():
@@ -248,14 +258,24 @@ def test_batched_uncertainty_rejects_a_degenerate_row():
         epistemic_uncertainty(d)
 
 
+def _scores(rng, n, levels, centred=False):
+    """n scores on ``levels`` integer levels over 7, or tie-free normals if None."""
+    if levels is None:
+        scores = rng.normal(size=n)
+        assert np.unique(scores).size == n
+        return scores
+    return (rng.integers(0, levels, size=n) - (levels // 2 if centred else 0)) / 7.0
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 2000), st.sampled_from([1, 2, 3, 10, 1000]),
+@given(st.integers(2, 2000), st.sampled_from([1, 2, 3, 10, 1000, None]),
        st.integers(0, 2**32 - 1))
+@example(2000, None, 0)
 def test_auroc_matches_pairwise_count_with_heavy_ties(n, levels, seed):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, size=n)
     labels[:2] = (0, 1)
-    scores = rng.integers(0, levels, size=n) / 7.0
+    scores = _scores(rng, n, levels)
     pos, neg = scores[labels == 1], scores[labels == 0]
     wins = (pos[:, None] > neg).sum() + 0.5 * (pos[:, None] == neg).sum()
     assert auroc(labels, scores) == wins / (pos.size * neg.size)
@@ -270,15 +290,17 @@ def _stable_sort_aupr(labels, scores):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 2000), st.sampled_from([1, 2, 3, 10, 1000]),
+@given(st.integers(2, 2000), st.sampled_from([1, 2, 3, 10, 1000, None]),
        st.integers(0, 2**32 - 1))
+@example(2000, None, 0)
 def test_aupr_keeps_index_order_on_heavy_ties(n, levels, seed):
     # aupr ranks on an unstable sort and rebuilds the stable order; ties,
-    # including -0.0 against 0.0, must still go by original index
+    # including -0.0 against 0.0, must still go by original index, and a
+    # tie-free ranking, which skips the rebuild, must read the same
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, size=n)
     labels[:2] = (0, 1)
-    scores = (rng.integers(0, levels, size=n) - levels // 2) / 7.0
+    scores = _scores(rng, n, levels, centred=True)
     scores = np.where(scores == 0.0, rng.choice([-0.0, 0.0], size=n), scores)
     value = aupr(labels, scores)
     assert value == _stable_sort_aupr(labels, scores)
