@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train, eval, ood, scaling, longtail, sweep, probe, verify.
-Every subcommand but verify accepts --config (JSON), --seed, --out,
---lambda, --schedule and --eps; flags override the config file.  verify
+Every subcommand but verify accepts --config (JSON), --seed and --out (eval
+also --checkpoint); --seed and --out override the config file.  verify
 runs a fixed oracle battery and takes no flags.  Exit codes: 0 on success,
 1 on argument errors, 2 when the verification gate fails.
 """
@@ -44,11 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="replace the config's seed list")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--lambda", dest="lam", type=float,
-                       help="regulariser weight override")
-        p.add_argument("--schedule", choices=("constant", "warmup", "linear"),
-                       help="regulariser schedule override")
-        p.add_argument("--eps", type=float, help="loss eps override")
         if name == "eval":
             p.add_argument("--checkpoint", required=True,
                            help="checkpoint JSON to evaluate")
@@ -72,8 +67,7 @@ def main(argv=None) -> int:
                 print(line, file=sys.stderr if failed else sys.stdout)
             return 2 if failed else 0
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        cfg = apply_overrides(cfg, seed=args.seed, out=args.out, lam=args.lam,
-                              schedule=args.schedule, eps=args.eps)
+        cfg = apply_overrides(cfg, seed=args.seed, out=args.out)
         extra = (args.checkpoint,) if args.command == "eval" else ()
         report = _RUNNERS[args.command](cfg, *extra)
         print(json.dumps({"experiment": report["experiment"], "out": cfg.out}))

@@ -95,20 +95,46 @@ def gaussian_blobs(n_classes: int, n_per_class: int, n_features: int,
     Class means sit on a circle of radius 4 in the first two feature
     dimensions (angle 2*pi*k/K), remaining dimensions centred at zero.
     """
-    if n_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {n_classes}")
-    if n_per_class < 1:
-        raise ValueError(f"need n_per_class >= 1, got {n_per_class}")
-    if n_features < 2:
-        raise ValueError(f"need at least 2 features, got {n_features}")
-    if spread < 0.0:
-        raise ValueError(f"spread must be non-negative, got {spread}")
+    check_blobs(n_classes, n_per_class, n_features, spread)
     means = blob_means(n_classes, n_features)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, spread, size=(n_classes * n_per_class, n_features))
     features = np.repeat(means, n_per_class, axis=0) + noise
     labels = np.repeat(np.arange(n_classes), n_per_class)
     return LabeledDataset(features, labels, n_classes)
+
+
+# The generators' argument checks.  Each message starts with the argument's
+# name, so a config section's prefix ("dataset.", "ood.") names its key.
+
+
+def _check_n_features(n_features: int) -> None:
+    if n_features < 2:
+        raise ValueError(f"n_features must be >= 2, got {n_features}")
+
+
+def check_blobs(n_classes: int, n_per_class: int, n_features: int, spread: float) -> None:
+    if n_classes < 2:
+        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
+    if n_per_class < 1:
+        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
+    _check_n_features(n_features)
+    if spread < 0.0:
+        raise ValueError(f"spread must be >= 0, got {spread}")
+
+
+def check_moons(n: int, noise: float) -> None:
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"n must be even and >= 2, got {n}")
+    if noise < 0.0:
+        raise ValueError(f"noise must be >= 0, got {noise}")
+
+
+def check_ood(kind: str, n: int) -> None:
+    if kind not in OOD_KINDS:
+        raise ValueError(f"kind must be one of {OOD_KINDS}, got {kind!r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
 
 
 def blob_means(n_classes: int, n_features: int) -> np.ndarray:
@@ -126,10 +152,7 @@ def two_moons(n: int, noise: float, seed: int) -> LabeledDataset:
     With noise=0 the points lie exactly on the arcs.  n must be even;
     classes are balanced.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be even and >= 2, got {n}")
-    if noise < 0.0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    check_moons(n, noise)
     half = n // 2
     t = np.linspace(0.0, np.pi, half)
     first = np.column_stack([np.cos(t), np.sin(t)])
@@ -179,12 +202,8 @@ def ood_generator(kind: str, n: int, n_features: int, seed: int, *,
     geometry with every class mean translated by ``offset`` along the first
     axis; offset=0 reproduces the in-distribution feature law.
     """
-    if kind not in OOD_KINDS:
-        raise ValueError(f"kind must be one of {OOD_KINDS}, got {kind!r}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n_features < 2:
-        raise ValueError(f"need at least 2 features, got {n_features}")
+    check_ood(kind, n)
+    _check_n_features(n_features)
     rng = np.random.default_rng(seed)
     if kind == "uniform_box":
         return rng.uniform(-OOD_BOX_HALF_WIDTH, OOD_BOX_HALF_WIDTH,

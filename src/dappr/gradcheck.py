@@ -53,7 +53,7 @@ def fd_gradient(f, x0: np.ndarray) -> np.ndarray:
 
 def frozen_pstar_objective(base_logits, labels, lam: float):
     """Surrogate value of each (..., b, K) logits batch at penalty weight lam,
-    p* frozen at the (b, K) base_logits (detach semantics) with the default eps."""
+    p* frozen at the (b, K) base_logits (detach semantics), floored by EPS."""
     y = one_hot(labels, np.shape(base_logits)[-1])
     a_star = softplus(base_logits) + 1.0 - y + EPS
     p_star = a_star / a_star.sum(axis=-1, keepdims=True)

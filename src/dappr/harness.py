@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck
-from .datasets import (LabeledDataset, SplitSpec, check_rho, gaussian_blobs,
-                       load_csv, long_tail_resample, ood_generator, split,
+from .datasets import (LabeledDataset, SplitSpec, check_blobs, check_moons,
+                       check_ood, check_rho, gaussian_blobs, load_csv,
+                       long_tail_resample, ood_generator, split,
                        stratified_subsample, two_moons)
 from .loss import (LossConfig, dappr_loss, log_softmax, one_hot, softmax,
                    softplus_plus_one)
@@ -81,6 +82,12 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "csv" and not self.path:
             raise ValueError("csv dataset needs a path")
+        # the generator's own checks, at load; a CSV is known once it is read
+        if self.kind == "gaussian_blobs":
+            _check_as("dataset.", check_blobs, self.n_classes, self.n_per_class,
+                      self.n_features, self.spread)
+        elif self.kind == "two_moons":
+            _check_as("dataset.", check_moons, self.n, self.noise)
         _require_seed("dataset.seed", self.seed)
 
 
@@ -92,6 +99,8 @@ class OodSpec:
     seed: int = 11
 
     def __post_init__(self):
+        # the generator's own checks, at load; n None is the test split's size
+        _check_as("ood.", check_ood, self.kind, 1 if self.n is None else self.n)
         _require_seed("ood.seed", self.seed)
 
 
@@ -132,7 +141,7 @@ class ExperimentConfig:
     split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     split_seed: int = 3
     model: ModelSpec = field(default_factory=ModelSpec)
-    loss: LossConfig = field(default_factory=lambda: LossConfig(lam=2e-3, schedule="warmup"))
+    loss: LossConfig = field(default_factory=LossConfig)
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     ood: tuple[OodSpec, ...] = (OodSpec(kind="uniform_box"),
                                 OodSpec(kind="shifted_blobs"))
@@ -152,10 +161,13 @@ class ExperimentConfig:
         _require_seed("split_seed", self.split_seed)
         _check_as("split_", SplitSpec, self.split_fractions)
         _check_as("longtail_", check_rho, self.longtail_rho)
+        for key in ("sweep_lambdas", "scaling_sizes"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must not be empty")
         for lam in self.sweep_lambdas:
             _check_as("sweep_lambdas: ", LossConfig, lam)
         # a size above the train split is known only once the data is built
-        if min(self.scaling_sizes, default=1) < 1:
+        if min(self.scaling_sizes) < 1:
             raise ValueError(f"scaling_sizes must be >= 1, got {list(self.scaling_sizes)}")
 
 
@@ -238,22 +250,13 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, *, seed: int | None = None,
-                    out: str | None = None, lam: float | None = None,
-                    schedule: str | None = None,
-                    eps: float | None = None) -> ExperimentConfig:
+                    out: str | None = None) -> ExperimentConfig:
     """CLI flags override the corresponding config fields."""
     if seed is not None:
         cfg = replace(cfg, seeds=(seed,))
     if out is not None:
         cfg = replace(cfg, out=out)
-    loss = cfg.loss
-    if lam is not None:
-        loss = replace(loss, lam=lam)
-    if schedule is not None:
-        loss = replace(loss, schedule=schedule)
-    if eps is not None:
-        loss = replace(loss, eps=eps)
-    return replace(cfg, loss=loss)
+    return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -7,10 +7,10 @@ the log Dirichlet possibility at the inner maximiser of
 
 which has the closed form p* = (alpha - y) / (alpha0 - 1) whenever every
 alpha_k exceeds 1.  The concentration head softplus(z) + 1 guarantees that.
-Following the reference recipe, the implementation floors p* with a small eps
-(a* = alpha - y + eps, p* = a*/sum(a*)), treats p* as a constant when
-differentiating, and adds a squared penalty on concentration assigned to
-wrong classes.
+Following the reference recipe, the implementation floors p* with the
+constant EPS (a* = alpha - y + EPS, p* = a*/sum(a*)), treats p* as a constant
+when differentiating, and adds a squared penalty on concentration assigned to
+wrong classes, whose weight warms up linearly over the first WARMUP_EPOCHS.
 
 All gradients here are analytic; there is no autodiff anywhere in the
 package.  The gradient of the per-sample loss with p* held fixed is
@@ -35,34 +35,27 @@ import numpy as np
 from .errors import MaximiserValidityError
 from .possibility import DirichletParams, SimplexPoint, _over_classes, _require_single
 
-SCHEDULES = ("constant", "warmup", "linear")
-WARMUP_EPOCHS = 10
+WARMUP_EPOCHS = 10  # the penalty weight rises linearly to lam over these epochs
 # Weight of the vacuous-evidence penalty on background rows.  Small enough
 # that the data term still sets alpha0 on the data (criteria 5 and 9 hold),
 # large enough that the far field flattens toward alpha0 = K.
 VACUOUS_WEIGHT = 1e-2
-EPS = 1e-8  # default floor eps of a* = alpha - y + eps in the surrogate loss
+EPS = 1e-8  # floor of a* = alpha - y + EPS in the surrogate loss
 
 
-def _check_weight_and_floor(lam: float, eps: float) -> None:
+def _check_weight(lam: float) -> None:
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    if not 0.0 < eps <= 1e-4:
-        raise ValueError(f"eps must be in (0, 1e-4], got {eps}")
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Loss hyperparameters: regulariser weight, eps floor, weight schedule."""
+    """The loss's one setting: lam, the full weight of the evidence penalty."""
 
     lam: float = 2e-3
-    eps: float = EPS
-    schedule: str = "constant"
 
     def __post_init__(self):
-        _check_weight_and_floor(self.lam, self.eps)
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
+        _check_weight(self.lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,19 +170,13 @@ def multi_observation_maximiser(d: DirichletParams, ys) -> SimplexPoint:
 
 
 def lambda_schedule(cfg: LossConfig, epoch: int, epochs: int) -> float:
-    """Regulariser weight at a given 0-based epoch of a run of ``epochs``.
-
-    constant: lam; warmup: lam * min(1, epoch/10); linear: lam * epoch/epochs.
-    """
+    """Regulariser weight at a given 0-based epoch of a run of ``epochs``:
+    lam * min(1, epoch / WARMUP_EPOCHS)."""
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if not 0 <= epoch <= epochs:
         raise ValueError(f"epoch must lie in [0, {epochs}], got {epoch}")
-    if cfg.schedule == "constant":
-        return cfg.lam
-    if cfg.schedule == "warmup":
-        return cfg.lam * min(1.0, epoch / WARMUP_EPOCHS)
-    return cfg.lam * epoch / epochs
+    return cfg.lam * min(1.0, epoch / WARMUP_EPOCHS)
 
 
 def _check_logit_batches(logits) -> np.ndarray:
@@ -211,10 +198,10 @@ def _batch_one_hot(labels, z: np.ndarray) -> np.ndarray:
     return one_hot(labels, z.shape[-1])
 
 
-def dappr_loss(logits, labels, lam: float = 0.0, eps: float = EPS) -> LossOutput:
+def dappr_loss(logits, labels, lam: float = 0.0) -> LossOutput:
     """Batch surrogate loss with spurious-evidence penalty and its gradient.
 
-    Per sample: alpha = softplus(z) + 1, a* = alpha - y + eps,
+    Per sample: alpha = softplus(z) + 1, a* = alpha - y + EPS,
     p* = a*/sum(a*) held constant under differentiation,
     surrogate = alpha0 log alpha0 + sum_k alpha_k log(p*_k / alpha_k),
     penalty = sum_k (alpha_k (1 - y_k))^2.  The batch value is
@@ -223,7 +210,7 @@ def dappr_loss(logits, labels, lam: float = 0.0, eps: float = EPS) -> LossOutput
     batches with (..., b) labels, which gives value, surrogate_term and
     regulariser per leading index, each batch's bits as if scored alone.
     """
-    _check_weight_and_floor(lam, eps)
+    _check_weight(lam)
     z = _check_logit_batches(logits)
     y = _batch_one_hot(labels, z)
     b = z.shape[-2]
@@ -231,7 +218,7 @@ def dappr_loss(logits, labels, lam: float = 0.0, eps: float = EPS) -> LossOutput
     sp = softplus(z)
     alpha = sp + 1.0
     alpha0 = alpha.sum(axis=-1, keepdims=True)
-    a_star = alpha - y + eps
+    a_star = alpha - y + EPS
     p_star = a_star / a_star.sum(axis=-1, keepdims=True)
 
     off = 1.0 - y

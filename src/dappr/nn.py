@@ -301,10 +301,11 @@ def train(train_x, train_y, val_x, val_y, cfg):
     their own derived seed, which carry the vacuous-evidence penalty;
     history.train_loss records the data term only, train_vacuous the
     penalty.  Epoch e weighs the penalty by lambda_schedule(cfg.loss, e,
-    cfg.epochs).  epochs=0 returns the freshly initialized network.  A
-    network whose last validation pass gives alpha0 == K on every row has
-    diverged, and raises ValueError naming its seed; an empty validation
-    set skips that check.
+    cfg.epochs), which warms up to cfg.loss.lam over WARMUP_EPOCHS epochs,
+    for the default LossConfig too.  epochs=0 returns the freshly
+    initialized network.  A network whose last validation pass gives alpha0
+    == K on every row has diverged, and raises ValueError naming its seed;
+    an empty validation set skips that check.
     """
     configs = [cfg] if isinstance(cfg, TrainConfig) else list(cfg)
     if not configs:
@@ -344,7 +345,7 @@ def train(train_x, train_y, val_x, val_y, cfg):
                 centre + scale * np.random.default_rng([seed, 2, epoch]).standard_normal((n, d))
                 for seed in seeds])
             lam_t = lambda_schedule(first.loss, epoch, first.epochs)
-            loss_fn = partial(dappr_loss, lam=lam_t, eps=first.loss.eps)
+            loss_fn = partial(dappr_loss, lam=lam_t)
         shuffled_x, shuffled_y = train_x[perms], train_y[perms]
         # row-weighted sums of the loss, its two components and the vacuous penalty
         epoch_loss, epoch_surrogate, epoch_regulariser, epoch_vacuous = np.zeros(

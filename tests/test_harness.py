@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import logging
 import math
@@ -34,6 +35,7 @@ from dappr.harness import (
     run_verify,
     train_config,
 )
+from dappr.loss import LossConfig
 from dappr.metrics import ECE_BINS
 from dappr.nn import NetworkParams, forward, save_checkpoint, train
 from fixtures import save_csv
@@ -90,13 +92,10 @@ def test_load_config_reports_bad_json(tmp_path):
 
 def test_apply_overrides():
     cfg = ExperimentConfig()
-    out = apply_overrides(cfg, seed=42, out="elsewhere", lam=0.5,
-                          schedule="linear", eps=1e-6)
-    assert out.seeds == (42,)
-    assert out.out == "elsewhere"
-    assert out.loss.lam == 0.5
-    assert out.loss.schedule == "linear"
-    assert out.loss.eps == 1e-6
+    out = apply_overrides(cfg, seed=42, out="elsewhere")
+    assert out == replace(cfg, seeds=(42,), out="elsewhere")
+    # the config file holds every loss setting; no flag overrides one
+    assert list(inspect.signature(apply_overrides).parameters) == ["cfg", "seed", "out"]
     untouched = apply_overrides(cfg)
     assert untouched == cfg
 
@@ -136,10 +135,9 @@ def test_run_train_writes_artifacts(tmp_path):
     with open(out / "history.csv", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["lam_t"]) for r in rows] == [0.0, 2e-4, 4e-4]
-    # the loss's weight schedule is not a config setting
+    # the weight is the one loss setting; its floor and warm-up are constants
     on_disk = json.loads((out / "report.json").read_text())
-    assert set(on_disk["config"]["loss"]) == set(report["config"]["loss"]) == {
-        "lam", "eps", "schedule"}
+    assert set(on_disk["config"]["loss"]) == set(report["config"]["loss"]) == {"lam"}
 
 
 def test_run_eval_reads_checkpoint_back(tmp_path):
@@ -323,7 +321,7 @@ def test_run_longtail_matches_direct_computation(tmp_path):
 
 def test_run_lambda_sweep_report_and_csv(tmp_path):
     cfg = tiny_config(tmp_path, seeds=[1, 2], model=TRAINED_MODEL,
-                      loss={"schedule": "constant"}, sweep_lambdas=[0.0, 0.5])
+                      sweep_lambdas=[0.0, 0.5])
     report = run_lambda_sweep(cfg)
     assert report["experiment"] == "sweep"
     assert report["ood_set"] == "uniform_box"  # the first configured set
@@ -337,7 +335,7 @@ def test_run_lambda_sweep_report_and_csv(tmp_path):
     assert [p["lambda"] for p in report["curve"]] == [0.0, 0.5]
 
     # one lambda of the sweep is the standard run at that lambda, bit for bit
-    standard = run_standard(apply_overrides(cfg, lam=0.5, out=str(tmp_path / "std")))
+    standard = run_standard(replace(cfg, loss=LossConfig(lam=0.5), out=str(tmp_path / "std")))
     assert [(r["accuracy"], r["ood_aupr"]) for r in rows[2:]] == [
         (s["accuracy"], s["ood"]["uniform_box"]["aupr"]) for s in standard["per_seed"]]
 
@@ -703,11 +701,6 @@ def test_cli_non_finite_config_float_exits_one(tmp_path, capsys):
     assert main(["ood", "--config", str(cfg_path)]) == 1
     line = _single_error_line(capsys.readouterr().err)
     assert "loss.lam" in line
-    # the same value through the --lambda flag
-    cfg_path.write_text("{}")
-    assert main(["ood", "--config", str(cfg_path), "--lambda", "nan"]) == 1
-    line = _single_error_line(capsys.readouterr().err)
-    assert "lam must be finite" in line
 
 
 def test_cli_wrong_config_type_exits_one(tmp_path, capsys):
@@ -766,6 +759,27 @@ def test_cli_rejects_probe_settings_that_cannot_run(tmp_path, capsys, key, value
     ("ood", {"longtail_rho": 0}, [], "longtail_rho must be in (0, 1], got 0"),
     ("ood", {"sweep_lambdas": [-1]}, [], "sweep_lambdas: lam must be finite and >= 0, got -1"),
     ("ood", {"scaling_sizes": [0]}, [], "scaling_sizes must be >= 1, got [0]"),
+    # the eps floor and the warm-up are constants, and no flag sets a loss value
+    ("ood", {"loss": {"eps": 1e-8}}, [], "unknown loss keys: ['eps']"),
+    ("ood", {"loss": {"schedule": "warmup"}}, [], "unknown loss keys: ['schedule']"),
+    ("ood", {}, ["--lambda", "0.1"], "unrecognized arguments: --lambda 0.1"),
+    ("ood", {}, ["--schedule", "warmup"], "unrecognized arguments: --schedule warmup"),
+    ("ood", {}, ["--eps", "1e-8"], "unrecognized arguments: --eps 1e-8"),
+    # empty lists, which used to run and write an empty curve
+    ("sweep", {"sweep_lambdas": []}, [], "sweep_lambdas must not be empty"),
+    ("scaling", {"scaling_sizes": []}, [], "scaling_sizes must not be empty"),
+    # the generators' checks, which used to run late (or, under train, never)
+    ("train", {"ood": [{"kind": "bogus"}]}, [],
+     "ood.kind must be one of ('uniform_box', 'shifted_blobs'), got 'bogus'"),
+    ("ood", {"ood": [{"kind": "uniform_box", "n": 0}]}, [], "ood.n must be >= 1, got 0"),
+    ("ood", {"dataset": {"n_classes": 1}}, [], "dataset.n_classes must be >= 2, got 1"),
+    ("ood", {"dataset": {"n_per_class": 0}}, [], "dataset.n_per_class must be >= 1, got 0"),
+    ("ood", {"dataset": {"n_features": 1}}, [], "dataset.n_features must be >= 2, got 1"),
+    ("ood", {"dataset": {"spread": -1.0}}, [], "dataset.spread must be >= 0, got -1.0"),
+    ("ood", {"dataset": {"kind": "two_moons", "n": 3}}, [],
+     "dataset.n must be even and >= 2, got 3"),
+    ("ood", {"dataset": {"kind": "two_moons", "noise": -0.1}}, [],
+     "dataset.noise must be >= 0, got -0.1"),
 ])
 def test_cli_rejects_bad_settings_at_load_naming_the_key(tmp_path, capsys, command,
                                                           extra, flags, message):
@@ -858,15 +872,16 @@ def test_cli_failed_run_leaves_no_earlier_report(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
-def test_cli_ood_runner_and_lambda_override(tmp_path, capsys):
+def test_cli_ood_runner_reads_lambda_from_the_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "dataset": {"n_classes": 3, "n_per_class": 20, "seed": 7},
         "model": {"hidden": [8], "epochs": 2, "batch_size": 16},
+        "loss": {"lam": 0.5},
         "seeds": [1],
         "out": str(tmp_path / "run"),
     }))
-    code = main(["ood", "--config", str(cfg_path), "--lambda", "0.5"])
+    code = main(["ood", "--config", str(cfg_path)])
     assert code == 0
     printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert printed["experiment"] == "standard"

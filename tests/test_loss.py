@@ -11,6 +11,7 @@ from dappr import gradcheck
 from dappr.errors import MaximiserValidityError
 from dappr.loss import (
     VACUOUS_WEIGHT,
+    WARMUP_EPOCHS,
     LossConfig,
     LossOutput,
     closed_form_maximiser,
@@ -190,68 +191,60 @@ def test_regulariser_formula():
         dappr_loss(z, np.array([3]))
 
 
-def test_lambda_schedule_constant_and_warmup():
-    c = LossConfig(lam=2e-3, schedule="constant")
-    assert lambda_schedule(c, 0, 100) == 2e-3
-    assert lambda_schedule(c, 100, 100) == 2e-3
-    w = LossConfig(lam=2e-3, schedule="warmup")
-    assert lambda_schedule(w, 0, 100) == 0.0
-    assert lambda_schedule(w, 5, 100) == pytest.approx(1e-3, abs=1e-18)
-    assert lambda_schedule(w, 10, 100) == 2e-3
-    assert lambda_schedule(w, 60, 100) == 2e-3
+def test_lambda_schedule_warms_up_over_ten_epochs():
+    cfg = LossConfig(lam=2e-3)
+    assert WARMUP_EPOCHS == 10
+    assert lambda_schedule(cfg, 0, 100) == 0.0
+    assert lambda_schedule(cfg, 5, 100) == pytest.approx(1e-3, abs=1e-18)
+    assert lambda_schedule(cfg, 10, 100) == 2e-3
+    assert lambda_schedule(cfg, 60, 100) == 2e-3
+    # the warm-up counts epochs, not a share of the run: a short run ends below lam
+    assert lambda_schedule(cfg, 3, 3) == pytest.approx(6e-4, abs=1e-18)
 
 
-def test_lambda_schedule_linear_and_bounds():
-    lin = LossConfig(lam=4e-3, schedule="linear")
-    assert lambda_schedule(lin, 0, 80) == 0.0
-    assert lambda_schedule(lin, 40, 80) == pytest.approx(2e-3, abs=1e-18)
-    assert lambda_schedule(lin, 80, 80) == 4e-3
-    # the horizon is the run's length: the same epoch weighs less in a longer run
-    assert lambda_schedule(lin, 40, 160) == pytest.approx(1e-3, abs=1e-18)
+def test_lambda_schedule_bounds():
+    cfg = LossConfig(lam=4e-3)
     with pytest.raises(ValueError, match=r"^epoch must lie in \[0, 80\], got -1$"):
-        lambda_schedule(lin, -1, 80)
+        lambda_schedule(cfg, -1, 80)
     with pytest.raises(ValueError, match=r"^epoch must lie in \[0, 80\], got 81$"):
-        lambda_schedule(lin, 81, 80)
-    for schedule in ("constant", "warmup", "linear"):
-        with pytest.raises(ValueError, match=r"^epochs must be >= 1, got 0$"):
-            lambda_schedule(LossConfig(schedule=schedule), 0, 0)
+        lambda_schedule(cfg, 81, 80)
+    with pytest.raises(ValueError, match=r"^epochs must be >= 1, got 0$"):
+        lambda_schedule(cfg, 0, 0)
 
 
-BAD_WEIGHTS_AND_FLOORS = [
+BAD_WEIGHTS = [
     (dict(lam=-1e-3), "lam must be finite and >= 0, got -0.001"),
     (dict(lam=math.nan), "lam must be finite and >= 0, got nan"),
     (dict(lam=math.inf), "lam must be finite and >= 0, got inf"),
-    (dict(eps=0.0), r"eps must be in \(0, 1e-4\], got 0.0"),
-    (dict(eps=1e-3), r"eps must be in \(0, 1e-4\], got 0.001"),
 ]
 
 
 def test_loss_config_validation():
-    for kwargs, message in BAD_WEIGHTS_AND_FLOORS:
+    for kwargs, message in BAD_WEIGHTS:
         with pytest.raises(ValueError, match=f"^{message}$"):
             LossConfig(**kwargs)
-    with pytest.raises(ValueError, match="schedule must be one of"):
-        LossConfig(schedule="cosine")
-    # the schedule's horizon is the training run's length, not a loss setting
-    with pytest.raises(TypeError, match="total_epochs"):
-        LossConfig(total_epochs=60)
+    # the eps floor and the warm-up are constants of the loss, and the
+    # warm-up counts the training run's epochs: none is a loss setting
+    for key in ("eps", "schedule", "total_epochs"):
+        with pytest.raises(TypeError, match=key):
+            LossConfig(**{key: 1})
 
 
-@pytest.mark.parametrize("kwargs, message", BAD_WEIGHTS_AND_FLOORS)
+@pytest.mark.parametrize("kwargs, message", BAD_WEIGHTS)
 def test_dappr_loss_rejects_what_loss_config_rejects(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         dappr_loss(np.zeros((2, 3)), np.array([0, 1]), **kwargs)
 
 
 def test_losses_take_only_the_numbers_they_use():
-    assert [f.name for f in fields(LossConfig)] == ["lam", "eps", "schedule"]
+    assert [f.name for f in fields(LossConfig)] == ["lam"]
     assert [f.name for f in fields(LossOutput)] == [
         "value", "grad_logits", "surrogate_term", "regulariser"]
     assert list(inspect.signature(cross_entropy_loss).parameters) == ["logits", "labels"]
     defaults = {name: param.default
                 for name, param in inspect.signature(dappr_loss).parameters.items()}
     assert defaults == {"logits": inspect.Parameter.empty,
-                        "labels": inspect.Parameter.empty, "lam": 0.0, "eps": 1e-8}
+                        "labels": inspect.Parameter.empty, "lam": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +361,16 @@ def _same_bits(a, b) -> bool:
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 24), st.integers(1, 39),
-       st.integers(2, 10), st.sampled_from([0.0, 2e-3, 0.1]),
-       st.sampled_from(["constant", "warmup", "linear"]), st.integers(0, 20),
+       st.integers(2, 10), st.sampled_from([0.0, 2e-3, 0.1]), st.integers(0, 20),
        st.booleans())
-def test_stacked_losses_equal_each_batch_alone(seed, s, b, k, lam, schedule, epoch,
-                                               sliced):
+def test_stacked_losses_equal_each_batch_alone(seed, s, b, k, lam, epoch, sliced):
     # training scores a stack of batches in one call, sliced from the logits
     # of the data and background rows; every field keeps each batch's bits
     rng = np.random.default_rng(seed)
     logits = rng.normal(0.0, 3.0, size=(s, 2 * b if sliced else b, k))[:, :b]
     labels = rng.integers(0, k, size=(s, b))
     # training binds each epoch's scheduled weight, as here
-    lam_t = lambda_schedule(LossConfig(lam=lam, schedule=schedule), epoch, 20)
+    lam_t = lambda_schedule(LossConfig(lam=lam), epoch, 20)
     for loss_fn in (partial(dappr_loss, lam=lam_t), cross_entropy_loss):
         stacked = loss_fn(logits, labels)
         assert stacked.value.shape == (s,) and stacked.grad_logits.shape == (s, b, k)
