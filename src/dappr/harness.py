@@ -44,6 +44,12 @@ from .possibility import (DirichletParams, SimplexPoint, _over_classes,
 log = logging.getLogger("dappr")
 
 HISTOGRAM_BINS = 30
+# Fixed by the protocol: the seed of the split and of the scaling and long-tail
+# draws from it, the OOD sets' seed, and the probe's fine-tune rate, small so
+# each copy stays near the base network as the one-term approximation needs
+SPLIT_SEED = 3
+OOD_SEED = 11
+FINETUNE_LR = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +98,6 @@ class DatasetSpec:
 
 
 @dataclass(frozen=True)
-class OodSpec:
-    kind: str = "uniform_box"
-    n: int | None = None  # None: match the ID test-split size
-    offset: float = 12.0
-    seed: int = 11
-
-    def __post_init__(self):
-        # the generator's own checks, at load; n None is the test split's size
-        _check_as("ood.", check_ood, self.kind, 1 if self.n is None else self.n)
-        _require_seed("ood.seed", self.seed)
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     hidden: tuple[int, ...] = (32, 32)
     learning_rate: float = 1e-3
@@ -123,15 +116,12 @@ class ProbeSpec:
     n_probed: int = 20
     n_perturbations: int = 3
     finetune_epochs: int = 3
-    finetune_lr: float = 1e-4
     seed: int = 17
 
     def __post_init__(self):
         for key in ("n_probed", "n_perturbations", "finetune_epochs"):
             if getattr(self, key) < 1:
                 raise ValueError(f"probe.{key} must be >= 1, got {getattr(self, key)}")
-        if self.finetune_lr <= 0.0:
-            raise ValueError(f"probe.finetune_lr must be > 0, got {self.finetune_lr}")
         _require_seed("probe.seed", self.seed)
 
 
@@ -139,12 +129,10 @@ class ProbeSpec:
 class ExperimentConfig:
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    split_seed: int = 3
     model: ModelSpec = field(default_factory=ModelSpec)
     loss: LossConfig = field(default_factory=LossConfig)
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
-    ood: tuple[OodSpec, ...] = (OodSpec(kind="uniform_box"),
-                                OodSpec(kind="shifted_blobs"))
+    ood: tuple[str, ...] = ("uniform_box", "shifted_blobs")
     out: str = "runs/out"
     scaling_sizes: tuple[int, ...] = (50, 100, 200, 400, 800)
     longtail_rho: float = 0.1
@@ -158,8 +146,11 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
         for seed in self.seeds:
             _require_seed("seeds", seed)
-        _require_seed("split_seed", self.split_seed)
         _check_as("split_", SplitSpec, self.split_fractions)
+        if len(set(self.ood)) != len(self.ood):  # one recipe per kind: the same set twice
+            raise ValueError(f"ood kinds must be distinct, got {list(self.ood)}")
+        for kind in self.ood:  # a set's size is the test split's, checked once it is built
+            _check_as("ood.", check_ood, kind, 1)
         _check_as("longtail_", check_rho, self.longtail_rho)
         for key in ("sweep_lambdas", "scaling_sizes"):
             if not getattr(self, key):
@@ -229,14 +220,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
-    sections = {}
-    for key, value in data.items():
-        if key in _SECTION_TYPES:
-            sections[key] = _build_section(_SECTION_TYPES[key], value, key)
-        elif key == "ood":
-            if not isinstance(value, list):
-                raise ValueError("ood must be a list of objects")
-            sections[key] = [_build_section(OodSpec, o, "ood") for o in value]
+    sections = {key: _build_section(_SECTION_TYPES[key], value, key)
+                for key, value in data.items() if key in _SECTION_TYPES}
     return _build_section(ExperimentConfig, {**data, **sections}, "config")
 
 
@@ -278,7 +263,15 @@ def build_dataset(spec: DatasetSpec) -> LabeledDataset:
 
 def make_splits(cfg: ExperimentConfig):
     ds = build_dataset(cfg.dataset)
-    return split(ds, SplitSpec(cfg.split_fractions, cfg.split_seed))
+    return split(ds, SplitSpec(cfg.split_fractions, SPLIT_SEED))
+
+
+def _scored_splits(cfg: ExperimentConfig):
+    """make_splits for a runner that scores the test split, and OOD sets of its size."""
+    train_ds, val_ds, test_ds = make_splits(cfg)
+    if test_ds.n == 0:
+        raise ValueError(f"split_fractions {list(cfg.split_fractions)} leave the test split empty")
+    return train_ds, val_ds, test_ds
 
 
 def train_config(cfg: ExperimentConfig, seed: int, n_features: int,
@@ -294,25 +287,17 @@ def train_config(cfg: ExperimentConfig, seed: int, n_features: int,
     )
 
 
-def generate_ood(cfg: ExperimentConfig, spec: OodSpec, n_default: int,
+def generate_ood(cfg: ExperimentConfig, kind: str, n: int,
                  n_features: int | None = None) -> np.ndarray:
-    """spec's OOD rows, in a blob dataset's geometry or, for the other kinds,
-    2 unit-spread classes 2 features wide; n_features sets the width."""
-    geometry = (cfg.dataset if cfg.dataset.kind == "gaussian_blobs"
-                else DatasetSpec(n_classes=2, n_features=2, spread=1.0))
-    return ood_generator(spec.kind, spec.n if spec.n is not None else n_default,
-                         n_features or geometry.n_features, spec.seed, offset=spec.offset,
+    """n OOD rows of kind, in a blob dataset's geometry or, for the other
+    kinds, 2 unit-spread classes 2 features wide; n_features sets the width."""
+    geometry = cfg.dataset if cfg.dataset.kind == "gaussian_blobs" else DatasetSpec(n_classes=2)
+    return ood_generator(kind, n, n_features or geometry.n_features, OOD_SEED,
                          n_classes=geometry.n_classes, spread=geometry.spread)
 
 
 def ood_names(cfg: ExperimentConfig) -> list[str]:
-    names = []
-    seen: dict[str, int] = {}
-    for spec in cfg.ood:
-        count = seen.get(spec.kind, 0)
-        names.append(spec.kind if count == 0 else f"{spec.kind}_{count + 1}")
-        seen[spec.kind] = count + 1
-    return names
+    return list(cfg.ood)
 
 
 def _fit(cfg: ExperimentConfig, seeds, train_ds: LabeledDataset,
@@ -327,9 +312,8 @@ def _fit(cfg: ExperimentConfig, seeds, train_ds: LabeledDataset,
 
 
 def _ood_sets(cfg: ExperimentConfig, test_ds: LabeledDataset) -> dict[str, np.ndarray]:
-    """Each configured OOD set by report name, in config order, as wide as the data."""
-    return {name: generate_ood(cfg, spec, test_ds.n, test_ds.dim)
-            for name, spec in zip(ood_names(cfg), cfg.ood)}
+    """Each configured OOD set by kind, in config order, as large and wide as test_ds."""
+    return {kind: generate_ood(cfg, kind, test_ds.n, test_ds.dim) for kind in cfg.ood}
 
 
 def model_uncertainties(params: NetworkParams, x: np.ndarray):
@@ -556,7 +540,7 @@ def run_train(cfg: ExperimentConfig, outdir: Path) -> dict:
 def run_eval(cfg: ExperimentConfig, outdir: Path, checkpoint_path) -> dict:
     """Evaluate a saved checkpoint on the config's test split (ID only)."""
     params = load_checkpoint(checkpoint_path)
-    _, _, test_ds = make_splits(cfg)
+    _, _, test_ds = _scored_splits(cfg)
     if params.layer_sizes[0] != test_ds.dim or params.layer_sizes[-1] < test_ds.n_classes:
         raise ValueError("checkpoint shape does not match the configured dataset")
     result, raw = evaluate_seed(params, test_ds, {})
@@ -571,7 +555,7 @@ def run_eval(cfg: ExperimentConfig, outdir: Path, checkpoint_path) -> dict:
 @_runner("standard")
 def run_standard(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Train every seed as one stack, evaluate ID metrics and OOD detection."""
-    train_ds, val_ds, test_ds = make_splits(cfg)
+    train_ds, val_ds, test_ds = _scored_splits(cfg)
     ood_sets = _ood_sets(cfg, test_ds)
 
     scored = _fit_and_score(cfg, train_ds, val_ds, test_ds, ood_sets)
@@ -603,7 +587,7 @@ def run_standard(cfg: ExperimentConfig, outdir: Path) -> dict:
 @_runner("scaling")
 def run_scaling(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Training-set size sweep; epistemic uncertainty on a fixed test split."""
-    train_ds, val_ds, test_ds = make_splits(cfg)
+    train_ds, val_ds, test_ds = _scored_splits(cfg)
     for size in cfg.scaling_sizes:
         if size > train_ds.n:
             raise ValueError(f"scaling size {size} exceeds the train split ({train_ds.n})")
@@ -611,7 +595,7 @@ def run_scaling(cfg: ExperimentConfig, outdir: Path) -> dict:
     rows = []
     curve = []
     for size in cfg.scaling_sizes:
-        subset = stratified_subsample(train_ds, size, cfg.split_seed)
+        subset = stratified_subsample(train_ds, size, SPLIT_SEED)
         runs = [(size, seed, float(np.mean(raw["epistemic"])), result["accuracy"])
                 for seed, _, result, raw in _fit_and_score(cfg, subset, val_ds, test_ds)]
         rows += runs
@@ -627,8 +611,8 @@ def run_scaling(cfg: ExperimentConfig, outdir: Path) -> dict:
 @_runner("longtail")
 def run_longtail(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Long-tail resampled training, balanced-test evaluation."""
-    train_ds, val_ds, test_ds = make_splits(cfg)
-    tail_train = long_tail_resample(train_ds, cfg.longtail_rho, cfg.split_seed)
+    train_ds, val_ds, test_ds = _scored_splits(cfg)
+    tail_train = long_tail_resample(train_ds, cfg.longtail_rho, SPLIT_SEED)
     counts = tail_train.class_counts()
 
     per_seed = []
@@ -662,7 +646,7 @@ def run_longtail(cfg: ExperimentConfig, outdir: Path) -> dict:
 @_runner("sweep")
 def run_lambda_sweep(cfg: ExperimentConfig, outdir: Path) -> dict:
     """Regulariser-weight sweep: accuracy and OOD detection per lambda."""
-    train_ds, val_ds, test_ds = make_splits(cfg)
+    train_ds, val_ds, test_ds = _scored_splits(cfg)
     ood_sets = _ood_sets(cfg, test_ds)
     if not ood_sets:
         raise ValueError("lambda sweep needs at least one ood entry")
@@ -700,7 +684,7 @@ def _soft_label_finetune(params: NetworkParams, rest_x, rest_y, forced_x,
     copies = forced_targets.shape[0]
     flat, tuned = pack_network(params, copies=copies)
     grad, grads = pack_network(params, copies=copies)
-    opt = _Adam(flat, probe.finetune_lr)
+    opt = _Adam(flat, FINETUNE_LR)
     n = rest_x.shape[0]
     k = tuned.layer_sizes[-1]
     rest_targets = one_hot(rest_y, k)

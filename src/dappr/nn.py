@@ -286,6 +286,14 @@ def _step_gradients(params: NetworkParams, x, labels, loss_fn, grads: NetworkPar
     return out, vacuous
 
 
+def _check_finite_logits(seeds, logits, where: str) -> None:
+    """Stop a stack at its first network with a non-finite logit in (S, b, K) logits."""
+    for seed, z in zip(seeds, logits):
+        if not np.isfinite(z).all():
+            raise ValueError(f"training diverged for seed {seed}: non-finite logits on {where}")
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def train(train_x, train_y, val_x, val_y, cfg):
     """Mini-batch training of one TrainConfig, or of a list of them as one stack.
 
@@ -303,9 +311,10 @@ def train(train_x, train_y, val_x, val_y, cfg):
     penalty.  Epoch e weighs the penalty by lambda_schedule(cfg.loss, e,
     cfg.epochs), which warms up to cfg.loss.lam over WARMUP_EPOCHS epochs,
     for the default LossConfig too.  epochs=0 returns the freshly
-    initialized network.  A network whose last validation pass gives alpha0
-    == K on every row has diverged, and raises ValueError naming its seed;
-    an empty validation set skips that check.
+    initialized network.  A network diverged, and raises ValueError naming
+    its seed, if its logits overflow, with no numpy warning, on a training
+    batch or the last validation pass, or if that pass gives alpha0 == K on
+    every row; an empty validation set skips the checks on that pass.
     """
     configs = [cfg] if isinstance(cfg, TrainConfig) else list(cfg)
     if not configs:
@@ -353,8 +362,13 @@ def train(train_x, train_y, val_x, val_y, cfg):
         for start in range(0, n, first.batch_size):
             rows = slice(start, start + first.batch_size)
             labels = shuffled_y[:, rows]
-            out, vacuous_term = _step_gradients(params, shuffled_x[:, rows], labels, loss_fn,
-                                                grads, background[:, rows] if vacuous else None)
+            x, bg = shuffled_x[:, rows], background[:, rows] if vacuous else None
+            try:
+                out, vacuous_term = _step_gradients(params, x, labels, loss_fn, grads, bg)
+            except ValueError:  # the loss's finite-logits check: name the network
+                x = x if bg is None else np.concatenate([x, bg], axis=1)
+                _check_finite_logits(seeds, _forward_cached(params, x)[-1], "a training batch")
+                raise
             opt.step(flat, grad)
             b = labels.shape[1]
             epoch_loss += out.value * b
@@ -374,9 +388,10 @@ def train(train_x, train_y, val_x, val_y, cfg):
             history.val_accuracy.append(acc)
             history.val_mean_alpha0.append(float(np.mean(val_alpha0[s])) if val_y.size else 0.0)
 
-    # every logit below softplus's underflow point: the network has lost all
-    # evidence, and every score built on it would read as a success
     if first.epochs and val_y.size:
+        _check_finite_logits(seeds, logits, "the validation rows")
+        # every logit below softplus's underflow point: the network has lost
+        # all evidence, and every score built on it would read as a success
         for seed, alpha0 in zip(seeds, val_alpha0):
             if np.all(alpha0 == first.layer_sizes[-1]):
                 raise ValueError(f"training diverged for seed {seed}: alpha0 is exactly "

@@ -11,11 +11,13 @@ import pytest
 
 from dappr import harness, nn
 from dappr.cli import main
-from dappr.datasets import LabeledDataset, gaussian_blobs, long_tail_resample
+from dappr.datasets import (LabeledDataset, gaussian_blobs, long_tail_resample,
+                            ood_generator)
 from dappr.harness import (
+    FINETUNE_LR,
     HISTOGRAM_BINS,
+    SPLIT_SEED,
     ExperimentConfig,
-    OodSpec,
     VerifyReport,
     apply_overrides,
     config_from_dict,
@@ -24,7 +26,6 @@ from dappr.harness import (
     generate_ood,
     load_config,
     make_splits,
-    ood_names,
     run_eval,
     run_lambda_sweep,
     run_longtail,
@@ -59,9 +60,10 @@ def tiny_config(tmp_path, **overrides):
 
 
 def test_config_roundtrips_through_json():
-    cfg = ExperimentConfig(seeds=(9,), ood=(OodSpec(kind="uniform_box", n=44),))
-    rebuilt = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
-    assert rebuilt == cfg
+    cfg = ExperimentConfig(seeds=(9,), ood=("shifted_blobs",))
+    data = json.loads(json.dumps(config_to_dict(cfg)))
+    assert data["ood"] == ["shifted_blobs"]
+    assert config_from_dict(data) == cfg
 
 
 def test_config_rejects_unknown_keys():
@@ -101,17 +103,12 @@ def test_apply_overrides():
 
 
 def test_generate_ood_n_defaulting():
+    # every set is drawn at seed 11 with the generator's default offset; the
+    # default blobs have the generator's default geometry and 2 features
     cfg = ExperimentConfig()
-    sized = generate_ood(cfg, OodSpec(kind="uniform_box", n=17), 60)
-    assert sized.shape == (17, cfg.dataset.n_features)
-    defaulted = generate_ood(cfg, OodSpec(kind="uniform_box", n=None), 60)
-    assert defaulted.shape == (60, cfg.dataset.n_features)
-
-
-def test_ood_names_disambiguates_duplicates():
-    cfg = ExperimentConfig(ood=(OodSpec("uniform_box"), OodSpec("uniform_box"),
-                                OodSpec("shifted_blobs")))
-    assert ood_names(cfg) == ["uniform_box", "uniform_box_2", "shifted_blobs"]
+    for kind in cfg.ood:
+        assert np.array_equal(generate_ood(cfg, kind, 60, 4), ood_generator(kind, 60, 4, 11))
+        assert np.array_equal(generate_ood(cfg, kind, 17), ood_generator(kind, 17, 2, 11))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +286,7 @@ def test_run_longtail_matches_direct_computation(tmp_path):
     report = run_longtail(cfg)
 
     train_ds, val_ds, test_ds = make_splits(cfg)
-    tail = long_tail_resample(train_ds, cfg.longtail_rho, cfg.split_seed)
+    tail = long_tail_resample(train_ds, cfg.longtail_rho, SPLIT_SEED)
     accs, class_acc, class_alpha0 = [], np.zeros(3), np.zeros(3)
     for seed in cfg.seeds:
         params, _ = train(tail.features, tail.labels, val_ds.features, val_ds.labels,
@@ -378,8 +375,7 @@ def test_run_probe_rows_and_determinism(tmp_path):
 def test_run_probe_equals_one_network_at_a_time_oracle(tmp_path):
     # The probe fine-tunes each sample's copies as one stack; every value must
     # equal fine-tuning deep copies one by one with per-array Adam, bit for bit.
-    probe = {"n_probed": 3, "n_perturbations": 3, "finetune_epochs": 2,
-             "finetune_lr": 1e-2}
+    probe = {"n_probed": 3, "n_perturbations": 3, "finetune_epochs": 2}
     cfg = tiny_config(tmp_path, dataset={"n_per_class": 12, "seed": 7},
                       model={"hidden": [8, 8], "epochs": 3, "batch_size": 8},
                       probe=probe)
@@ -399,7 +395,7 @@ def test_run_probe_equals_one_network_at_a_time_oracle(tmp_path):
         def loo_loss(target):
             tuned = soft_label_finetune(base.weights, base.biases, rest_x, rest_y,
                                         ds.features[x_idx], target,
-                                        cfg.probe.finetune_epochs, cfg.probe.finetune_lr,
+                                        cfg.probe.finetune_epochs, FINETUNE_LR,
                                         cfg.probe.seed, cfg.model.batch_size)
             return total_cross_entropy(*tuned, rest_x, rest_y)
 
@@ -664,13 +660,13 @@ def test_config_rejects_wrong_types():
         config_from_dict({"loss": {"lam": True}})
     with pytest.raises(ValueError, match=r"config\.seeds must be tuple\[int, \.\.\.\]"):
         config_from_dict({"seeds": [1, "2"]})
-    with pytest.raises(ValueError, match=r"ood\.n must be int \| None"):
-        config_from_dict({"ood": [{"n": 1.5}]})
+    with pytest.raises(ValueError, match=r"config\.ood must be tuple\[str, \.\.\.\]"):
+        config_from_dict({"ood": ["uniform_box", 1.5]})
     with pytest.raises(ValueError, match=r"config\.split_fractions"):
         config_from_dict({"split_fractions": [0.5, 0.5]})
     # JSON ints are valid floats; None fills optional fields
-    cfg = config_from_dict({"loss": {"lam": 0}, "ood": [{"n": None}]})
-    assert cfg.loss.lam == 0 and cfg.ood[0].n is None
+    cfg = config_from_dict({"loss": {"lam": 0}, "dataset": {"path": None}})
+    assert cfg.loss.lam == 0 and cfg.dataset.path is None
 
 
 @pytest.mark.parametrize("data, key", [
@@ -678,7 +674,7 @@ def test_config_rejects_wrong_types():
     ({"loss": {"lam": math.inf}}, "loss.lam"),
     ({"loss": {"lam": 10 ** 400}}, "loss.lam"),
     ({"dataset": {"spread": math.nan}}, "dataset.spread"),
-    ({"ood": [{"offset": -math.inf}]}, "ood.offset"),
+    ({"longtail_rho": math.nan}, "config.longtail_rho"),
     ({"sweep_lambdas": [0.0, math.nan]}, "config.sweep_lambdas"),
     ({"split_fractions": [0.8, math.inf, 0.1]}, "config.split_fractions"),
 ])
@@ -712,11 +708,10 @@ def test_cli_wrong_config_type_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("n_probed", 0), ("n_perturbations", 0),
-                                        ("finetune_epochs", -3), ("finetune_lr", -1e-4),
-                                        ("finetune_lr", 0.0)])
+                                        ("finetune_epochs", -3)])
 def test_cli_rejects_probe_settings_that_cannot_run(tmp_path, capsys, key, value):
-    # unchecked, n_probed 0 wrote a NaN median into report.json, negative
-    # epochs gave every sample s_x = 0 and a negative rate ran gradient ascent
+    # unchecked, n_probed 0 wrote a NaN median into report.json and negative
+    # epochs gave every sample s_x = 0
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**TINY_CONFIG, "probe": {key: value},
                                     "out": str(tmp_path / "out")}))
@@ -729,10 +724,13 @@ def test_cli_rejects_probe_settings_that_cannot_run(tmp_path, capsys, key, value
 @pytest.mark.parametrize("command, extra, flags, message", [
     ("ood", {"seeds": [1, -1]}, [], "seeds must be >= 0, got -1"),
     ("ood", {}, ["--seed", "-1"], "seeds must be >= 0, got -1"),
-    ("probe", {"split_seed": -2}, [], "split_seed must be >= 0, got -2"),
+    # the split seed is a constant
+    ("probe", {"split_seed": 3}, [], "unknown config keys: ['split_seed']"),
     ("ood", {"dataset": {**TINY_CONFIG["dataset"], "seed": -1}}, [],
      "dataset.seed must be >= 0, got -1"),
-    ("probe", {"ood": [{}, {"seed": -3}]}, [], "ood.seed must be >= 0, got -3"),
+    # an OOD set is named by its kind alone
+    ("probe", {"ood": [{"kind": "uniform_box"}]}, [],
+     "config.ood must be tuple[str, ...], got [{'kind': 'uniform_box'}]"),
     ("probe", {"probe": {"seed": -1}}, [], "probe.seed must be >= 0, got -1"),
     # the ood runner never reads probe settings, and still refuses them
     ("ood", {"probe": {"seed": -1}}, [], "probe.seed must be >= 0, got -1"),
@@ -769,9 +767,11 @@ def test_cli_rejects_probe_settings_that_cannot_run(tmp_path, capsys, key, value
     ("sweep", {"sweep_lambdas": []}, [], "sweep_lambdas must not be empty"),
     ("scaling", {"scaling_sizes": []}, [], "scaling_sizes must not be empty"),
     # the generators' checks, which used to run late (or, under train, never)
-    ("train", {"ood": [{"kind": "bogus"}]}, [],
+    ("train", {"ood": ["bogus"]}, [],
      "ood.kind must be one of ('uniform_box', 'shifted_blobs'), got 'bogus'"),
-    ("ood", {"ood": [{"kind": "uniform_box", "n": 0}]}, [], "ood.n must be >= 1, got 0"),
+    # one recipe per kind, so a repeated kind would score the same set twice
+    ("ood", {"ood": ["uniform_box", "shifted_blobs", "uniform_box"]}, [],
+     "ood kinds must be distinct, got ['uniform_box', 'shifted_blobs', 'uniform_box']"),
     ("ood", {"dataset": {"n_classes": 1}}, [], "dataset.n_classes must be >= 2, got 1"),
     ("ood", {"dataset": {"n_per_class": 0}}, [], "dataset.n_per_class must be >= 1, got 0"),
     ("ood", {"dataset": {"n_features": 1}}, [], "dataset.n_features must be >= 2, got 1"),
@@ -780,6 +780,9 @@ def test_cli_rejects_probe_settings_that_cannot_run(tmp_path, capsys, key, value
      "dataset.n must be even and >= 2, got 3"),
     ("ood", {"dataset": {"kind": "two_moons", "noise": -0.1}}, [],
      "dataset.noise must be >= 0, got -0.1"),
+    # the probe's fine-tune rate is a constant; 1e3 blew the fine-tune up and
+    # still exited 0
+    ("probe", {"probe": {"finetune_lr": 1e3}}, [], "unknown probe keys: ['finetune_lr']"),
 ])
 def test_cli_rejects_bad_settings_at_load_naming_the_key(tmp_path, capsys, command,
                                                           extra, flags, message):
@@ -845,6 +848,40 @@ def test_cli_diverged_training_exits_one_without_a_report(tmp_path, capsys,
     line = _single_error_line(captured.err)
     assert line.startswith("error: training diverged for seed 1: alpha0 is exactly K = 3")
     assert captured.out == ""
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_cli_overflowing_logits_exit_one_naming_the_seed(tmp_path, capsys):
+    # the first step at lr 1e300 sends the weights to ~1e300, so the next
+    # forward overflows; the run printed numpy's overflow warning and the
+    # nn.py source line before an error that named no seed
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, "seeds": [4, 2],
+                                    "model": {**TINY_CONFIG["model"], "learning_rate": 1e300},
+                                    "out": str(tmp_path / "out")}))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert _single_error_line(captured.err) == (
+        "error: training diverged for seed 4: non-finite logits on a training batch")
+    assert captured.out == ""
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "ood", "scaling", "longtail", "sweep"])
+def test_cli_scoring_runners_refuse_an_empty_test_split(tmp_path, capsys, command):
+    # a zero test share passed the load checks; ood and sweep then failed on
+    # the OOD set size, naming no key, and longtail exited 0 with NaN accuracies
+    fractions = [0.9, 0.1, 0.0]
+    cfg = tiny_config(tmp_path, split_fractions=fractions, scaling_sizes=[10])
+    flags = []
+    if command == "eval":
+        run_train(replace(cfg, out=str(tmp_path / "train")))
+        flags = ["--checkpoint", str(tmp_path / "train" / "checkpoint.json")]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    assert main([command, "--config", str(cfg_path), *flags]) == 1
+    assert _single_error_line(capsys.readouterr().err) == (
+        f"error: split_fractions {fractions} leave the test split empty")
     assert not (tmp_path / "out" / "report.json").exists()
 
 

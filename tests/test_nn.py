@@ -564,6 +564,24 @@ def test_diverged_training_raises_naming_the_seed():
     assert history.val_mean_alpha0 == [0.0] * cfg.epochs
 
 
+@pytest.mark.parametrize("loss_kind", ["dappr", "cross_entropy"])
+def test_overflowing_logits_stop_training_naming_the_seed(loss_kind):
+    # the first step at this rate sends the weights to ~1e300, so the next
+    # forward overflows; numpy's overflow warning, an error in this suite,
+    # used to come first and name no seed
+    tx, ty, vx, vy = _blob_split()
+    cfg = TrainConfig(layer_sizes=(2, 16, 3), epochs=2, batch_size=16, seed=4,
+                      learning_rate=1e300, loss_kind=loss_kind)
+    with pytest.raises(ValueError, match=r"^training diverged for seed 4: non-finite "
+                                         r"logits on a training batch$"):
+        train(tx, ty, vx, vy, [cfg, replace(cfg, seed=5)])
+    # with one step in all, the validation pass is the first forward to overflow
+    one_step = replace(cfg, epochs=1, batch_size=tx.shape[0])
+    with pytest.raises(ValueError, match=r"^training diverged for seed 5: non-finite "
+                                         r"logits on the validation rows$"):
+        train(tx, ty, vx, vy, [replace(one_step, seed=5), one_step])
+
+
 def test_cross_entropy_loss_descends_on_blobs():
     tx, ty, vx, vy = _blob_split()
     cfg = TrainConfig(layer_sizes=(2, 16, 3), epochs=50, batch_size=16, seed=1,

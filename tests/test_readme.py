@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from dappr import cli
-from dappr.harness import ModelSpec
+from dappr.datasets import OOD_KINDS
+from dappr.harness import ExperimentConfig, ModelSpec, ProbeSpec
 from dappr.loss import LossConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,7 +39,23 @@ def test_readme_lists_every_runner_flag():
     assert set(documented) == options
 
 
-@pytest.mark.parametrize("section, cls", [("loss", LossConfig), ("model", ModelSpec)])
+def _listed(lead: str) -> list[str]:
+    """The backquoted names after ``lead`` in the README, up to a '.' or ';'."""
+    listed = re.search(rf"{lead} ([^.;]*)", _readme_text())
+    return re.findall(r"`(\w+)`", listed.group(1))
+
+
+@pytest.mark.parametrize("section, cls", [("loss", LossConfig), ("model", ModelSpec),
+                                          ("probe", ProbeSpec)])
 def test_readme_lists_every_config_section_key(section, cls):
-    listed = re.search(rf"The `{section}` section has exactly ([^.;]*)", _readme_text())
-    assert re.findall(r"`(\w+)`", listed.group(1)) == [f.name for f in fields(cls)]
+    assert _listed(rf"The `{section}` section has exactly") == [f.name for f in fields(cls)]
+
+
+def test_readme_lists_every_top_level_config_key():
+    # a config key added or removed without the README fails here
+    assert _listed("The top-level keys are exactly") == [
+        f.name for f in fields(ExperimentConfig)]
+
+
+def test_readme_lists_every_ood_kind():
+    assert _listed("The OOD kinds are exactly") == list(OOD_KINDS)
