@@ -14,8 +14,7 @@ from .errors import (CsvParseError, DapprError, DegenerateAlphaError,
                      StratificationError)
 from .loss import (LossConfig, LossOutput, closed_form_maximiser,
                    cross_entropy_loss, dappr_loss, lambda_schedule,
-                   multi_observation_maximiser, softplus_plus_one,
-                   vacuous_evidence_penalty)
+                   softplus_plus_one, vacuous_evidence_penalty)
 from .metrics import (ReliabilityBins, aleatoric_uncertainty, aupr, auroc,
                       ece, epistemic_uncertainty, reliability_bins,
                       softmax_entropy)

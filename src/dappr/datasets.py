@@ -21,6 +21,7 @@ log = logging.getLogger("dappr")
 
 BLOB_RADIUS = 4.0
 OOD_BOX_HALF_WIDTH = 8.0
+OOD_BLOB_SHIFT = 12.0  # shifted_blobs moves every class mean this far along axis 0
 OOD_KINDS = ("uniform_box", "shifted_blobs")
 
 
@@ -194,13 +195,12 @@ def long_tail_resample(ds: LabeledDataset, rho: float, seed: int) -> LabeledData
 
 
 def ood_generator(kind: str, n: int, n_features: int, seed: int, *,
-                  offset: float = 12.0, n_classes: int = 3,
-                  spread: float = 1.0) -> np.ndarray:
+                  n_classes: int = 3, spread: float = 1.0) -> np.ndarray:
     """Feature-only out-of-distribution samples.
 
     uniform_box: uniform over [-8, 8]^d.  shifted_blobs: the gaussian_blobs
-    geometry with every class mean translated by ``offset`` along the first
-    axis; offset=0 reproduces the in-distribution feature law.
+    geometry moved OOD_BLOB_SHIFT along the first axis; the draws less that
+    shift follow the in-distribution feature law.
     """
     check_ood(kind, n)
     _check_n_features(n_features)
@@ -209,7 +209,7 @@ def ood_generator(kind: str, n: int, n_features: int, seed: int, *,
         return rng.uniform(-OOD_BOX_HALF_WIDTH, OOD_BOX_HALF_WIDTH,
                            size=(n, n_features))
     means = blob_means(n_classes, n_features)
-    means[:, 0] += offset
+    means[:, 0] += OOD_BLOB_SHIFT
     assignment = np.arange(n) % n_classes
     return means[assignment] + rng.normal(0.0, spread, size=(n, n_features))
 

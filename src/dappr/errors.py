@@ -15,8 +15,8 @@ class DegenerateAlphaError(DapprError, ValueError):
 
 
 class MaximiserValidityError(DapprError, ValueError):
-    """Raised when the closed-form inner maximiser does not apply, i.e. some
-    concentration entry fails the strict validity condition."""
+    """Raised when a row has no closed-form inner maximiser: some
+    a*_k = alpha_k - y_k + EPS is <= 0, where the objective is unbounded."""
 
 
 class MetricUndefinedError(DapprError, ValueError):

@@ -140,12 +140,12 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 
 def closed_form_gap(rng, grid: SimplexPoint,
                     draw_alpha=lambda rng, k: rng.uniform(1.05, 6.0, size=k)) -> float:
-    """L-inf gap between the closed-form maximiser and the grid argmax, for
-    alpha from ``draw_alpha(rng, k)`` and then a label drawn from rng."""
+    """L-inf gap between the loss's closed-form maximiser and the grid argmax,
+    for alpha from ``draw_alpha(rng, k)`` and then a label drawn from rng."""
     d = DirichletParams(draw_alpha(rng, grid.k))
     y = int(rng.integers(grid.k))
-    return float(np.max(np.abs(closed_form_maximiser(d, y).probs
-                               - grid_argmax_surrogate(d, y, grid).probs)))
+    p_star = closed_form_maximiser(d.alpha, one_hot([y], grid.k)[0])
+    return float(np.max(np.abs(p_star - grid_argmax_surrogate(d, y, grid).probs)))
 
 
 def mode_log_possibility(rng) -> float:

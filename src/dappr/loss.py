@@ -6,11 +6,11 @@ the log Dirichlet possibility at the inner maximiser of
     log g(p; alpha) + cross_entropy(p, y),
 
 which has the closed form p* = (alpha - y) / (alpha0 - 1) whenever every
-alpha_k exceeds 1.  The concentration head softplus(z) + 1 guarantees that.
-Following the reference recipe, the implementation floors p* with the
-constant EPS (a* = alpha - y + EPS, p* = a*/sum(a*)), treats p* as a constant
-when differentiating, and adds a squared penalty on concentration assigned to
-wrong classes, whose weight warms up linearly over the first WARMUP_EPOCHS.
+alpha_k >= y_k.  The concentration head softplus(z) + 1 guarantees that.
+Following the reference recipe, closed_form_maximiser floors p* with the
+constant EPS, and the loss treats p* as a constant when differentiating and
+adds a squared penalty on concentration assigned to wrong classes, whose
+weight warms up linearly over the first WARMUP_EPOCHS.
 
 All gradients here are analytic; there is no autodiff anywhere in the
 package.  The gradient of the per-sample loss with p* held fixed is
@@ -33,14 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaximiserValidityError
-from .possibility import DirichletParams, SimplexPoint, _over_classes, _require_single
+from .possibility import DirichletParams, _first_bad_row, _over_classes
 
 WARMUP_EPOCHS = 10  # the penalty weight rises linearly to lam over these epochs
 # Weight of the vacuous-evidence penalty on background rows.  Small enough
 # that the data term still sets alpha0 on the data (criteria 5 and 9 hold),
 # large enough that the far field flattens toward alpha0 = K.
 VACUOUS_WEIGHT = 1e-2
-EPS = 1e-8  # floor of a* = alpha - y + EPS in the surrogate loss
+EPS = 1e-8  # floor of a* in closed_form_maximiser
 
 
 def _check_weight(lam: float) -> None:
@@ -103,9 +103,10 @@ def softplus_plus_one(logits) -> DirichletParams:
     """Concentration head alpha = softplus(z) + 1, elementwise.
 
     ``logits`` is one row of K logits or a (..., K) batch of rows; the result
-    holds one concentration vector per row.  Every entry is strictly greater
-    than 1 for finite logits, which is the validity condition of the
-    closed-form maximiser.
+    holds one concentration vector per row.  Every entry is at least 1, so
+    closed_form_maximiser applies to any label.  An entry is exactly 1 where
+    softplus(z) vanishes against 1 (z below about -36.7), and the maximiser's
+    EPS floor keeps p* positive there.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim == 0:
@@ -131,42 +132,21 @@ def one_hot(labels, k: int) -> np.ndarray:
     return out.reshape(y.shape + (k,))
 
 
-def closed_form_maximiser(d: DirichletParams, y: int) -> SimplexPoint:
-    """Interior maximiser (alpha - y) / (alpha0 - 1) of log g(p) + ce(p, y).
+def closed_form_maximiser(alpha, y) -> np.ndarray:
+    """The floored maximiser p* of log g(p; alpha) + cross_entropy(p, y), per row.
 
-    Valid only when every alpha_k > 1, which keeps the stationary point
-    strictly inside the simplex.
+    ``alpha`` is a (..., K) array of concentrations and ``y`` matching
+    one-hot rows.  The objective sum_k (alpha_k - y_k) log p_k has a
+    maximiser exactly when every alpha_k >= y_k, at (alpha - y) /
+    (alpha0 - 1); this returns a* / sum(a*), where a* adds the floor EPS to
+    alpha - y.  A row with some a*_k <= 0 has no maximiser (the objective
+    is unbounded) and raises MaximiserValidityError.
     """
-    _require_single(d.alpha)
-    if not 0 <= y < d.k:
-        raise ValueError(f"label {y} out of range for {d.k} classes")
-    if np.any(d.alpha <= 1.0):
-        raise MaximiserValidityError(
-            f"closed form needs every concentration > 1, got {d.alpha}"
-        )
-    numer = d.alpha.copy()
-    numer[y] -= 1.0
-    return SimplexPoint(numer / (d.alpha0 - 1.0))
-
-
-def multi_observation_maximiser(d: DirichletParams, ys) -> SimplexPoint:
-    """Maximiser (alpha - c) / (alpha0 - |ys|) for a batch of observed labels.
-
-    ``c`` counts how many observations hit each class.  Valid only when
-    alpha_k strictly exceeds c_k for every class, the multi-label analogue of
-    the alpha_k > 1 condition.  Conflicting labels are allowed and pull the
-    maximiser toward the barycentre.
-    """
-    _require_single(d.alpha)
-    labels = np.asarray(ys)
-    if labels.size == 0:
-        raise ValueError("need at least one observation")
-    counts = one_hot(labels, d.k).reshape(-1, d.k).sum(axis=0)
-    if np.any(d.alpha <= counts):
-        raise MaximiserValidityError(
-            f"need alpha_k > per-class label count, got alpha={d.alpha}, counts={counts}"
-        )
-    return SimplexPoint((d.alpha - counts) / (d.alpha0 - labels.size))
+    a_star = alpha - y + EPS
+    if not a_star.min() > 0.0:
+        row = _first_bad_row(np.broadcast_to(alpha, a_star.shape), ~(a_star > 0.0).all(axis=-1))
+        raise MaximiserValidityError(f"closed form needs every alpha_k >= y_k, got alpha {row}")
+    return a_star / a_star.sum(axis=-1, keepdims=True)
 
 
 def lambda_schedule(cfg: LossConfig, epoch: int, epochs: int) -> float:
@@ -201,8 +181,8 @@ def _batch_one_hot(labels, z: np.ndarray) -> np.ndarray:
 def dappr_loss(logits, labels, lam: float = 0.0) -> LossOutput:
     """Batch surrogate loss with spurious-evidence penalty and its gradient.
 
-    Per sample: alpha = softplus(z) + 1, a* = alpha - y + EPS,
-    p* = a*/sum(a*) held constant under differentiation,
+    Per sample: alpha = softplus(z) + 1, p* = closed_form_maximiser(alpha, y)
+    held constant under differentiation,
     surrogate = alpha0 log alpha0 + sum_k alpha_k log(p*_k / alpha_k),
     penalty = sum_k (alpha_k (1 - y_k))^2.  The batch value is
     mean(surrogate) + lam * mean(penalty).  ``logits`` is one (b, K) batch
@@ -218,8 +198,7 @@ def dappr_loss(logits, labels, lam: float = 0.0) -> LossOutput:
     sp = softplus(z)
     alpha = sp + 1.0
     alpha0 = alpha.sum(axis=-1, keepdims=True)
-    a_star = alpha - y + EPS
-    p_star = a_star / a_star.sum(axis=-1, keepdims=True)
+    p_star = closed_form_maximiser(alpha, y)
 
     off = 1.0 - y
     surrogate = (alpha0[..., 0] * np.log(alpha0[..., 0])

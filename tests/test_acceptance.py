@@ -24,9 +24,8 @@ from oracles import (blob_mixture_density, pairwise_auroc,
                      rank_walk_average_precision)
 
 from dappr import gradcheck
-from dappr.harness import (generate_ood, make_splits, ood_names,
-                           run_lambda_sweep, run_probe, run_scaling,
-                           run_standard)
+from dappr.harness import (generate_ood, make_splits, run_lambda_sweep,
+                           run_probe, run_scaling, run_standard)
 from dappr.metrics import aupr, auroc
 from dappr.possibility import (DirichletParams, SimplexPoint,
                                log_dirichlet_possibility, simplex_grid)
@@ -267,8 +266,7 @@ def test_criterion_06_ood_separation(standard_run, expected):
     # the ID test split (positive) against the uniform-box set
     cfg = ac.standard_config(report["config"]["out"])
     _, _, test = make_splits(cfg)
-    box_spec = cfg.ood[ood_names(cfg).index("uniform_box")]
-    box_x = generate_ood(cfg, box_spec, test.n)
+    box_x = generate_ood(cfg, "uniform_box", test.n)
     points = [list(row) for row in np.vstack([test.features, box_x])]
     labels = [1] * test.n + [0] * box_x.shape[0]
     density = [blob_mixture_density(p, cfg.dataset.n_classes, cfg.dataset.spread)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dappr.datasets import (
+    OOD_BLOB_SHIFT,
     LabeledDataset,
     SplitSpec,
     blob_means,
@@ -126,15 +127,14 @@ def test_ood_generator_uniform_box():
 
 
 def test_ood_generator_shifted_blobs():
-    x = ood_generator("shifted_blobs", 3000, 2, seed=1, offset=12.0, n_classes=3,
-                      spread=0.5)
+    x = ood_generator("shifted_blobs", 3000, 2, seed=1, n_classes=3, spread=0.5)
     centers = blob_means(3, 2) + np.array([12.0, 0.0])
     # every point close to one of the translated means
     d = np.linalg.norm(x[:, None, :] - centers[None, :, :], axis=2).min(axis=1)
     assert np.quantile(d, 0.99) < 3 * 0.5 + 0.5
-    # offset=0 reproduces the ID geometry
-    x0 = ood_generator("shifted_blobs", 3000, 2, seed=2, offset=0.0, n_classes=3,
-                       spread=0.5)
+    # the draws less the shift lie on the ID means
+    x0 = ood_generator("shifted_blobs", 3000, 2, seed=2, n_classes=3,
+                       spread=0.5) - np.array([OOD_BLOB_SHIFT, 0.0])
     d0 = np.linalg.norm(x0[:, None, :] - blob_means(3, 2)[None, :, :], axis=2).min(axis=1)
     assert np.quantile(d0, 0.99) < 3 * 0.5 + 0.5
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dappr import harness, nn
+from dappr import gradcheck, harness, loss, nn
 from dappr.cli import main
 from dappr.datasets import (LabeledDataset, gaussian_blobs, long_tail_resample,
                             ood_generator)
@@ -103,8 +103,8 @@ def test_apply_overrides():
 
 
 def test_generate_ood_n_defaulting():
-    # every set is drawn at seed 11 with the generator's default offset; the
-    # default blobs have the generator's default geometry and 2 features
+    # every set is drawn at seed 11; the default blobs have the generator's
+    # default geometry and 2 features
     cfg = ExperimentConfig()
     for kind in cfg.ood:
         assert np.array_equal(generate_ood(cfg, kind, 60, 4), ood_generator(kind, 60, 4, 11))
@@ -526,27 +526,43 @@ def test_run_verify_all_green():
     report = run_verify()
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == []
-    assert report.all_passed
+    assert all(ok for _, ok, _ in report.checks)
     assert len(report.checks) >= 10
 
 
 def test_verify_catches_tampered_metric(monkeypatch):
     monkeypatch.setattr(harness, "aupr", lambda labels, scores: 0.123)
     report = run_verify()
-    assert not report.all_passed
+    assert not all(ok for _, ok, _ in report.checks)
     bad = {name for name, ok, _ in report.checks if not ok}
     assert "metric_examples" in bad
 
 
 def test_verify_catches_tampered_gradient(monkeypatch):
-    from dappr import gradcheck
-
     real = gradcheck.relative_error
     monkeypatch.setattr(gradcheck, "relative_error",
                         lambda a, b: real(a, b) + 1.0)
     report = run_verify()
     bad = {name for name, ok, _ in report.checks if not ok}
     assert {"gradient_loss_level", "gradient_end_to_end"} <= bad
+
+
+def test_verify_catches_a_wrong_maximiser(monkeypatch):
+    # training and verify share one closed-form maximiser: tilting p* toward
+    # the label moves the loss and fails the grid check
+    real = loss.closed_form_maximiser
+
+    def tilted(alpha, y):
+        p = real(alpha, y) + 0.1 * y
+        return p / p.sum(axis=-1, keepdims=True)
+
+    z, labels = np.array([[0.3, -1.2, 2.0], [1.0, 0.5, -0.4]]), np.array([2, 0])
+    before = loss.dappr_loss(z, labels).value
+    monkeypatch.setattr(loss, "closed_form_maximiser", tilted)
+    monkeypatch.setattr(gradcheck, "closed_form_maximiser", tilted)
+    assert loss.dappr_loss(z, labels).value != pytest.approx(before, rel=1e-3)
+    bad = {name for name, ok, _ in run_verify().checks if not ok}
+    assert "closed_form_vs_grid" in bad
 
 
 def test_verify_catches_a_wrong_background_gradient(monkeypatch):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 from dataclasses import fields
 from functools import partial
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dappr import gradcheck
 from dappr.errors import MaximiserValidityError
 from dappr.loss import (
+    EPS,
     VACUOUS_WEIGHT,
     WARMUP_EPOCHS,
     LossConfig,
@@ -18,14 +20,14 @@ from dappr.loss import (
     cross_entropy_loss,
     dappr_loss,
     lambda_schedule,
-    multi_observation_maximiser,
     one_hot,
     softmax,
     softplus,
     softplus_plus_one,
     vacuous_evidence_penalty,
 )
-from dappr.possibility import DirichletParams, simplex_grid
+from dappr.possibility import (DirichletParams, SimplexPoint, log_dirichlet_possibility,
+                               simplex_grid)
 from oracles import central_difference
 
 
@@ -114,47 +116,37 @@ def test_one_hot_needs_a_label_axis():
 
 
 def test_closed_form_maximiser_frozen():
-    d = DirichletParams(np.array([2.5, 1.5, 3.0]))
-    p = closed_form_maximiser(d, 1)
-    assert np.allclose(p.probs, [2.5 / 6, 0.5 / 6, 3.0 / 6], atol=1e-15)
+    # (alpha - y + EPS) / (alpha0 - 1 + 3 EPS) for alpha = [2.5, 1.5, 3.0], y = 1
+    p = closed_form_maximiser(np.array([2.5, 1.5, 3.0]), np.array([0.0, 1.0, 0.0]))
+    assert np.allclose(p, [0.41666666625, 0.08333333458333332, 0.49999999916666665],
+                       rtol=0.0, atol=1e-15)
 
 
-def test_closed_form_requires_alpha_above_one():
-    with pytest.raises(MaximiserValidityError):
-        closed_form_maximiser(DirichletParams(np.array([1.0, 2.0])), 0)
-    with pytest.raises(MaximiserValidityError):
-        closed_form_maximiser(DirichletParams(np.array([0.5, 2.0])), 1)
-    # the softplus+1 head keeps alpha strictly above 1 for logits that
-    # have not underflowed softplus
-    closed_form_maximiser(softplus_plus_one(np.array([-30.0, 30.0])), 0)
-    # underflowed logits collapse alpha to exactly 1.0 and are rejected
-    with pytest.raises(MaximiserValidityError):
-        closed_form_maximiser(softplus_plus_one(np.array([-800.0, 30.0])), 0)
-
-
-def test_multi_observation_maximiser_frozen():
-    d = DirichletParams(np.array([4.0, 3.0, 2.0]))
-    p = multi_observation_maximiser(d, [0, 0, 1])
-    assert np.allclose(p.probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
-
-
-def test_multi_observation_single_matches_closed_form():
-    d = DirichletParams(np.array([2.5, 1.5, 3.0]))
-    a = multi_observation_maximiser(d, [1])
-    b = closed_form_maximiser(d, 1)
-    assert np.array_equal(a.probs, b.probs)
-
-
-def test_multi_observation_validity():
-    d = DirichletParams(np.array([2.0, 1.5]))
-    with pytest.raises(MaximiserValidityError):
-        multi_observation_maximiser(d, [0, 0])  # alpha_0 = 2 <= count 2
-
-
-def test_multi_observation_rejects_timedelta_labels():
-    d = DirichletParams(np.array([4.0, 3.0, 2.0]))
-    with pytest.raises(ValueError, match="integers"):
-        multi_observation_maximiser(d, np.array([0, 1], dtype="m8[s]"))
+def test_closed_form_maximiser_accepts_every_alpha_at_least_y():
+    # the objective sum_k (alpha_k - y_k) log p_k has a maximiser exactly
+    # when every alpha_k >= y_k; the EPS floor keeps alpha_k == y_k positive
+    rows = np.array([softplus_plus_one(np.array([-800.0, 30.0])).alpha,  # underflowed head
+                     softplus_plus_one(np.array([-40.0, 30.0])).alpha,  # alpha_0 == 1 exactly
+                     [1.0, 2.0], [0.5, 2.0], [0.0, 3.0]])
+    y = one_hot([0, 0, 0, 1, 1], 2)
+    assert rows[0, 0] == rows[1, 0] == 1.0
+    batch = closed_form_maximiser(rows, y)
+    for i in range(len(rows)):
+        alone = closed_form_maximiser(rows[i], y[i])
+        assert np.array_equal(batch[i], alone)
+        assert np.all(alone > 0.0) and alone.sum() == pytest.approx(1.0, abs=1e-15)
+    assert batch[2, 0] == pytest.approx(EPS / (2.0 + 2 * EPS), rel=1e-12)
+    assert np.allclose(batch[3], [0.5 / 1.5, 1.0 / 1.5], rtol=1e-7)
+    # some alpha_k < y_k leaves the objective unbounded, alone or in a batch
+    for alpha, label in (([0.5, 2.0], 0), ([0.0, 3.0], 0), ([2.0, 1.0 - 1e-3], 1)):
+        with pytest.raises(MaximiserValidityError, match="alpha_k >= y_k"):
+            closed_form_maximiser(np.array(alpha), one_hot([label], 2)[0])
+        # the message names the first bad row of a batch
+        with pytest.raises(MaximiserValidityError, match=re.escape(str(np.array(alpha)))):
+            closed_form_maximiser(np.vstack([rows, alpha]), one_hot([0, 0, 0, 1, 1, label], 2))
+    # one alpha broadcast over several labels
+    with pytest.raises(MaximiserValidityError, match=re.escape("[0.5 2. ]")):
+        closed_form_maximiser(np.array([0.5, 2.0]), one_hot([1, 0], 2))
 
 
 def test_closed_form_agrees_with_grid_search():
@@ -180,6 +172,21 @@ def _logits_for(alpha):
 def test_surrogate_term_frozen():
     out = dappr_loss(_logits_for([2.0, 2.0]), np.array([0]), lam=0.0)
     assert abs(out.surrogate_term - (-0.2355660679794336)) < 1e-12
+
+
+def test_surrogate_is_log_possibility_at_the_maximiser():
+    # the per-row surrogate is log g(p*; alpha), p* the loss's own maximiser,
+    # down to underflowed logits where the label's alpha is exactly 1
+    rng = np.random.default_rng(5)
+    z = np.vstack([rng.normal(0.0, 3.0, size=(12, 3)),
+                   [[-800.0, 2.0, 0.5], [4.0, -800.0, -800.0]]])
+    labels = np.concatenate([rng.integers(0, 3, size=12), [0, 1]])
+    for row, label in zip(z, labels):
+        alpha = softplus_plus_one(row).alpha
+        p_star = closed_form_maximiser(alpha, one_hot([label], 3)[0])
+        log_g = log_dirichlet_possibility(DirichletParams(alpha), SimplexPoint(p_star))
+        surrogate = dappr_loss(row[None], np.array([label])).surrogate_term
+        assert surrogate == pytest.approx(log_g, rel=1e-12)
 
 
 def test_regulariser_formula():

@@ -3,8 +3,10 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import dappr
 from dappr import cli
 from dappr.datasets import OOD_KINDS
 from dappr.harness import ExperimentConfig, ModelSpec, ProbeSpec
@@ -59,3 +61,21 @@ def test_readme_lists_every_top_level_config_key():
 
 def test_readme_lists_every_ood_kind():
     assert _listed("The OOD kinds are exactly") == list(OOD_KINDS)
+
+
+# each operation the README lists as defined for one vector, on a 2-row batch
+_BATCHED_CALLS = {
+    "grid_argmax_surrogate": lambda: dappr.grid_argmax_surrogate(
+        dappr.DirichletParams(np.full((2, 3), 2.0)), 0, dappr.simplex_grid(3, 4)),
+    "possibilistic_posterior": lambda: dappr.possibilistic_posterior(np.zeros((2, 3))),
+    "PossibilityTable": lambda: dappr.PossibilityTable(np.ones((2, 3))),
+}
+
+
+def test_readme_lists_every_single_vector_operation():
+    names = re.search(r"Operations defined for one vector \(([^)]*)\)", _readme_text())
+    listed = re.findall(r"`(\w+)`", names.group(1))
+    assert listed == list(_BATCHED_CALLS)
+    for name in listed:
+        with pytest.raises(ValueError, match="single vector"):
+            _BATCHED_CALLS[name]()
