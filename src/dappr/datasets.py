@@ -173,25 +173,17 @@ def check_rho(rho: float) -> None:
 def long_tail_resample(ds: LabeledDataset, rho: float, seed: int) -> LabeledDataset:
     """Geometric class-imbalance profile: class k keeps ceil(n_max * rho^(k/(K-1))).
 
-    rho is the tail-to-head ratio in (0, 1]; rho=1 keeps the dataset intact
-    (up to row order, which stays ascending by original index per class
-    block).  Counts are capped at what each class actually has.
+    rho is the tail-to-head ratio in (0, 1].  Class k keeps the first rows
+    of its permutation from _class_perms(ds, seed), all of them when it has
+    fewer, in ascending original index per class block; rho=1 keeps the
+    dataset intact.
     """
     check_rho(rho)
-    if ds.n_classes < 2:
-        raise ValueError("long-tail profile needs at least 2 classes")
-    counts = ds.class_counts()
-    n_max = int(counts.max())
-    rng = np.random.default_rng(seed)
-    kept = []
-    for k in range(ds.n_classes):
-        want = math.ceil(n_max * rho ** (k / (ds.n_classes - 1)))
-        have = int(counts[k])
-        take = min(want, have)
-        cls_idx = np.flatnonzero(ds.labels == k)
-        chosen = np.sort(rng.permutation(cls_idx)[:take])
-        kept.append(chosen)
-    return ds.take(np.concatenate(kept))
+    n_max = int(ds.class_counts().max())
+    tail = ds.n_classes - 1
+    return ds.take(np.concatenate([
+        np.sort(perm[:math.ceil(n_max * rho ** (k / tail))])
+        for k, perm in enumerate(_class_perms(ds, seed))]))
 
 
 def ood_generator(kind: str, n: int, n_features: int, seed: int, *,
@@ -214,6 +206,13 @@ def ood_generator(kind: str, n: int, n_features: int, seed: int, *,
     return means[assignment] + rng.normal(0.0, spread, size=(n, n_features))
 
 
+def _class_perms(ds: LabeledDataset, seed: int) -> list[np.ndarray]:
+    # Each class's row indices in one random order, class 0 first, all from
+    # one generator.  An empty or one-row class draws nothing from it.
+    rng = np.random.default_rng(seed)
+    return [rng.permutation(np.flatnonzero(ds.labels == k)) for k in range(ds.n_classes)]
+
+
 def _allocate(n: int, fractions) -> list[int]:
     # Largest-remainder allocation; ties go to the earlier part.
     targets = [f * n for f in fractions]
@@ -228,56 +227,43 @@ def _allocate(n: int, fractions) -> list[int]:
 def split(ds: LabeledDataset, spec: SplitSpec):
     """Stratified (train, val, test) partition.
 
-    Per-class allocation follows the fractions within one sample; the union
-    of the three parts is exactly the input dataset.  A class with fewer
+    Each class's permutation from _class_perms(ds, spec.seed) is cut into
+    the three parts in the fractions' proportions (largest remainder); the
+    union of the parts is exactly the input dataset.  A class with fewer
     samples than there are positive fractions is an error.
     """
     parts = sum(1 for f in spec.fractions if f > 0.0)
-    rng = np.random.default_rng(spec.seed)
-    buckets: list[list[np.ndarray]] = [[], [], []]
-    for k in range(ds.n_classes):
-        cls_idx = np.flatnonzero(ds.labels == k)
-        if cls_idx.size == 0:
+    buckets = [[np.empty(0, dtype=np.int64)] for _ in range(3)]
+    for k, perm in enumerate(_class_perms(ds, spec.seed)):
+        if perm.size == 0:
             log.warning("split: class %d has no samples", k)
             continue
-        if cls_idx.size < parts:
+        if perm.size < parts:
             raise StratificationError(
-                f"class {k} has {cls_idx.size} samples, fewer than {parts} split parts"
+                f"class {k} has {perm.size} samples, fewer than {parts} split parts"
             )
-        counts = _allocate(cls_idx.size, spec.fractions)
+        counts = _allocate(perm.size, spec.fractions)
         if any(c == 0 and f > 0.0 for c, f in zip(counts, spec.fractions)):
             log.warning("split: class %d too small to reach every part (counts %s)",
                         k, counts)
-        perm = rng.permutation(cls_idx)
-        pos = 0
-        for part in range(3):
-            buckets[part].append(perm[pos:pos + counts[part]])
-            pos += counts[part]
-    out = []
-    for part in range(3):
-        idx = np.sort(np.concatenate(buckets[part])) if buckets[part] else np.array([], dtype=np.int64)
-        out.append(ds.take(idx))
-    return tuple(out)
+        for bucket, rows in zip(buckets, np.split(perm, np.cumsum(counts[:2]))):
+            bucket.append(rows)
+    return tuple(ds.take(np.sort(np.concatenate(bucket))) for bucket in buckets)
 
 
 def stratified_subsample(ds: LabeledDataset, n: int, seed: int) -> LabeledDataset:
-    """Deterministic stratified subset of size n (class shares preserved)."""
+    """Deterministic stratified subset of size n, in ascending row order.
+
+    Class k's share of n is its largest-remainder share of the class counts,
+    never more than the class has; it keeps the first rows of its
+    permutation from _class_perms(ds, seed), so with one seed a smaller
+    subset is nested in a larger one.
+    """
     if not 1 <= n <= ds.n:
         raise ValueError(f"subset size must lie in [1, {ds.n}], got {n}")
-    counts = ds.class_counts()
-    shares = _allocate(n, counts / ds.n)
-    rng = np.random.default_rng(seed)
-    kept = []
-    for k in range(ds.n_classes):
-        take = min(shares[k], int(counts[k]))
-        cls_idx = np.flatnonzero(ds.labels == k)
-        kept.append(np.sort(rng.permutation(cls_idx)[:take]))
-    idx = np.concatenate(kept)
-    # Top up if caps bit into the allocation.
-    if idx.size < n:
-        rest = np.setdiff1d(np.arange(ds.n), idx)
-        idx = np.concatenate([idx, rng.permutation(rest)[: n - idx.size]])
-    return ds.take(np.sort(idx))
+    shares = _allocate(n, ds.class_counts() / ds.n)
+    return ds.take(np.sort(np.concatenate([
+        perm[:share] for perm, share in zip(_class_perms(ds, seed), shares)])))
 
 
 def load_csv(path) -> LabeledDataset:

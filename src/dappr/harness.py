@@ -519,13 +519,9 @@ def run_train(cfg: ExperimentConfig, outdir: Path) -> dict:
     seed = cfg.seeds[0]
     [(params, history)] = _fit(cfg, [seed], train_ds, val_ds)
     save_checkpoint(params, outdir / "checkpoint.json")
-    _write_table(outdir / "history.csv",
-                 ("epoch", "train_loss", "val_accuracy", "val_mean_alpha0", "lam_t",
-                  "train_surrogate", "train_regulariser", "train_vacuous"),
-                 zip(range(len(history.train_loss)), history.train_loss,
-                     history.val_accuracy, history.val_mean_alpha0, history.lam_t,
-                     history.train_surrogate, history.train_regulariser,
-                     history.train_vacuous))
+    per_epoch = asdict(history)
+    _write_table(outdir / "history.csv", ("epoch", *per_epoch),
+                 zip(range(len(history.train_loss)), *per_epoch.values()))
     return {
         "seed": seed,
         "epochs_run": len(history.train_loss),

@@ -114,9 +114,9 @@ def auroc(labels, scores) -> float:
     return u / (n_pos * (n - n_pos))
 
 
-def ece(confidences, correct, n_bins: int = ECE_BINS) -> float:
+def ece(confidences, correct) -> float:
     """Count-weighted |accuracy - confidence| over reliability_bins' non-empty bins."""
-    bins = reliability_bins(confidences, correct, n_bins)
+    bins = reliability_bins(confidences, correct)
     n = int(bins.counts.sum())
     if n == 0:
         log.warning("ece: empty input, returning 0")
@@ -148,10 +148,8 @@ class ReliabilityBins:
                    int(self.counts[b]))
 
 
-def reliability_bins(confidences, correct, n_bins: int = ECE_BINS) -> ReliabilityBins:
-    """Bin confidences on [0, 1] and summarise accuracy per bin, in one sort by bin."""
-    if n_bins < 1:
-        raise ValueError(f"need at least one bin, got n_bins={n_bins}")
+def reliability_bins(confidences, correct) -> ReliabilityBins:
+    """Bin confidences into ECE_BINS bins on [0, 1]; summarise accuracy per bin in one sort."""
     c = np.asarray(confidences, dtype=np.float64)
     ok = np.asarray(correct)
     if c.ndim != 1 or ok.ndim != 1 or c.size != ok.size:
@@ -163,14 +161,14 @@ def reliability_bins(confidences, correct, n_bins: int = ECE_BINS) -> Reliabilit
         raise ValueError("confidences must lie in [0, 1]")
     if not ((ok == 0) | (ok == 1)).all():
         raise ValueError("correctness flags must be binary")
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    mean_conf = np.full(n_bins, np.nan)
-    acc = np.full(n_bins, np.nan)
-    idx = np.minimum((c * n_bins).astype(np.int64), n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
+    edges = np.linspace(0.0, 1.0, ECE_BINS + 1)
+    mean_conf = np.full(ECE_BINS, np.nan)
+    acc = np.full(ECE_BINS, np.nan)
+    idx = np.minimum((c * ECE_BINS).astype(np.int64), ECE_BINS - 1)
+    counts = np.bincount(idx, minlength=ECE_BINS)
     # Each bin's slice keeps its rows in input order, so its mean has the
     # bits of a mask's.  The smallest integer key gets numpy's radix sort.
-    order = np.argsort(idx.astype(np.min_scalar_type(n_bins - 1)), kind="stable")
+    order = np.argsort(idx.astype(np.min_scalar_type(ECE_BINS - 1)), kind="stable")
     c, ok = c[order], ok[order]
     stops = np.cumsum(counts)
     for b in np.flatnonzero(counts):

@@ -113,6 +113,18 @@ def binned_calibration_error(confidences, correct, n_bins):
     return total
 
 
+def class_permutations(labels, n_classes, seed):
+    """Each class's row indices in a random order, one generator for all.
+
+    One ``np.random.default_rng(seed).permutation`` per class, classes in
+    order 0, 1, ..., n_classes - 1; the draw every subset of a dataset is
+    defined by.
+    """
+    rng = np.random.default_rng(seed)
+    labels = np.asarray(labels)
+    return [rng.permutation(np.flatnonzero(labels == k)) for k in range(n_classes)]
+
+
 def simplex_lattice(k, m):
     """All compositions of m into k parts, as tuples, lexicographic."""
     if k == 1:

