@@ -8,10 +8,11 @@ differentiating the recomputed-p* value would measure a different
 (envelope-style) derivative on purpose not implemented by the loss.
 
 The battery functions below each draw one random case from the caller's
-generator and return the number its check bounds (a gap, an error, a
-divergence).  ``harness.run_verify`` runs each a few times and acceptance
-criteria 1-3 run them many times at their own seeds; the bounds and case
-counts live with the callers.
+generator, or ``cases`` of them for ``closed_form_gap``, and return the
+number its check bounds (a gap, an error, a divergence).
+``harness.run_verify`` runs each a few times and acceptance criteria 1-3
+run them many times at their own seeds; the bounds and case counts live
+with the callers.
 """
 
 from __future__ import annotations
@@ -135,17 +136,19 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the battery: one random case per call
+# the battery: random cases from the caller's generator
 
 
-def closed_form_gap(rng, grid: SimplexPoint,
+def closed_form_gap(rng, grid: SimplexPoint, cases: int,
                     draw_alpha=lambda rng, k: rng.uniform(1.05, 6.0, size=k)) -> float:
-    """L-inf gap between the loss's closed-form maximiser and the grid argmax,
-    for alpha from ``draw_alpha(rng, k)`` and then a label drawn from rng."""
-    d = DirichletParams(draw_alpha(rng, grid.k))
-    y = int(rng.integers(grid.k))
-    p_star = closed_form_maximiser(d.alpha, one_hot([y], grid.k)[0])
-    return float(np.max(np.abs(p_star - grid_argmax_surrogate(d, y, grid).probs)))
+    """Largest L-inf gap between the loss's closed-form maximiser and the grid
+    argmax over ``cases`` cases, each an alpha from ``draw_alpha(rng, k)`` and
+    then a label drawn from rng; the cases go through one oracle call."""
+    alphas, labels = zip(*[(draw_alpha(rng, grid.k), int(rng.integers(grid.k)))
+                           for _ in range(cases)])
+    d, labels = DirichletParams(alphas), np.array(labels)
+    p_star = closed_form_maximiser(d.alpha, one_hot(labels, grid.k))
+    return float(np.max(np.abs(p_star - grid_argmax_surrogate(d, labels, grid).probs)))
 
 
 def mode_log_possibility(rng) -> float:

@@ -24,7 +24,8 @@ deterministic mapping (supremum over pre-images), the maxitive
 pseudo-divergence, possibilistic posteriors from per-hypothesis losses, and a
 simplex-grid brute-force maximiser that serves as the oracle for the
 closed-form result in :mod:`dappr.loss`.  The grid is itself one batched
-:class:`SimplexPoint`.
+:class:`SimplexPoint`, and the maximiser scores a batch of cases against it,
+logging the grid once per call.
 
 :class:`SimplexPoint`, :class:`DirichletParams` and :class:`PossibilityTable`
 accept valid input after one whole-array range test, which NaN and the
@@ -36,7 +37,9 @@ Sums, maxima and ``any`` over the class axis of a batch go through
 ``_over_classes``, which folds whole columns instead of reducing each short
 row in its own inner loop, and returns numpy's reduce bit for bit; the
 scoring functions of :mod:`dappr.metrics`, :mod:`dappr.loss` and
-:mod:`dappr.harness` use it too.
+:mod:`dappr.harness` use it too.  On a batch of fewer than 8 classes,
+``log_dirichlet_possibility`` goes one class column at a time through all
+its elementwise work as well, adding its terms by the same rule.
 """
 
 from __future__ import annotations
@@ -234,17 +237,52 @@ def log_dirichlet_possibility(d: DirichletParams, p: SimplexPoint):
     if d.k != p.k:
         raise ValueError(f"dimension mismatch: alpha has {d.k} entries, p has {p.k}")
     alpha, probs = d.alpha, p.probs
-    active = alpha > 0.0
     # Ratio against the mode coordinate: exactly 1.0 at the mode, which makes
-    # the mode evaluate to exactly 0.0.  Inactive terms (0/0, p/0) are
-    # computed and then replaced by the 0^0 = 1 convention's zero; a row
-    # summing inf and -inf is set to -inf below.
+    # the mode evaluate to exactly 0.0.  Inactive terms (0/0, p/0) count as
+    # the 0^0 = 1 convention's zero; a row summing inf and -inf is set to
+    # -inf below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        mode = alpha / np.expand_dims(d.alpha0, -1)
-        terms = alpha * np.log(probs / mode)
-        log_g = _over_classes(np.add, np.where(active, terms, 0.0))
-    vanishing = _over_classes(np.logical_or, active & (probs == 0.0))
+        if max(alpha.ndim, probs.ndim) >= 2 and d.k < 8:
+            log_g, vanishing = _log_terms_by_class(alpha, d.alpha0, probs)
+        else:
+            active = alpha > 0.0
+            mode = alpha / np.expand_dims(d.alpha0, -1)
+            terms = alpha * np.log(probs / mode)
+            log_g = _over_classes(np.add, np.where(active, terms, 0.0))
+            vanishing = _over_classes(np.logical_or, active & (probs == 0.0))
     return _row_value(np.where(vanishing, -math.inf, log_g))
+
+
+def _log_terms_by_class(alpha, alpha0, probs):
+    """Per-row sum of the active terms of log g and the vanishing flag, one
+    whole-batch call per step and class instead of one length-K inner loop
+    per row.
+
+    The terms are added in class order into a sum that starts at 0.0, which
+    is numpy's own order for fewer than 8 classes (see ``_over_classes``),
+    so every row keeps the bits of the row on its own.  Skipping an inactive
+    term in place of adding 0.0 changes nothing: a sum started at +0.0 is
+    never -0.0.
+    """
+    shape = np.broadcast_shapes(alpha.shape, probs.shape)[:-1]
+    log_g = np.zeros(shape)
+    vanishing = np.zeros(shape, dtype=bool)
+    term = np.empty(shape)
+    for k in range(alpha.shape[-1]):
+        a_k, p_k = alpha[..., k], probs[..., k]
+        active = a_k > 0.0
+        if not active.any():
+            continue
+        np.divide(p_k, a_k / alpha0, out=term)
+        np.log(term, out=term)
+        np.multiply(a_k, term, out=term)
+        if active.all():
+            log_g += term
+            vanishing |= p_k == 0.0
+        else:
+            np.add(log_g, term, out=log_g, where=active)
+            vanishing |= active & (p_k == 0.0)
+    return log_g, vanishing
 
 
 def dirichlet_possibility(d: DirichletParams, p: SimplexPoint):
@@ -317,28 +355,39 @@ def maxitive_divergence(f: PossibilityTable, g: PossibilityTable) -> float:
     return float(np.max(np.log(f.values[support] / gs)))
 
 
-def grid_argmax_surrogate(
-    d: DirichletParams, y: int, grid: SimplexPoint
-) -> SimplexPoint:
+def grid_argmax_surrogate(d: DirichletParams, y, grid: SimplexPoint) -> SimplexPoint:
     """Brute-force maximiser of log g(p; alpha) + cross_entropy(p, y) on a grid.
 
-    ``grid`` is a (n, K) batch of candidate points, such as ``simplex_grid``
-    gives.  This is the oracle the closed-form maximiser is checked against.
-    Grid points touching the simplex boundary are evaluated with probabilities
-    floored at 1e-12 inside the logarithms; ties resolve to the first point in
-    grid order.
+    One case is one concentration row of ``d`` and one integer label in
+    ``y``: a 1-d ``alpha`` takes one label and gives one point, an (n, K)
+    ``alpha`` takes n labels and gives an (n, K) batch of points.  ``grid`` is
+    a (m, K) batch of candidate points, such as ``simplex_grid`` gives.  This
+    is the oracle the closed-form maximiser is checked against.  Grid points
+    touching the simplex boundary are evaluated with probabilities floored at
+    1e-12 inside the logarithms, logged once for the whole batch; ties
+    resolve to the first point in grid order.
     """
-    _require_single(d.alpha)
-    if not 0 <= y < d.k:
-        raise ValueError(f"label {y} out of range for {d.k} classes")
+    labels = np.asarray(y)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {y!r}")
+    if labels.shape != d.alpha.shape[:-1]:
+        raise ValueError(f"labels {y!r} do not give one label per alpha row "
+                         f"of {d.alpha.shape}")
+    outside = (labels < 0) | (labels >= d.k)
+    if outside.any():
+        raise ValueError(f"label {labels[outside].flat[0]} out of range for {d.k} classes")
     if grid.k != d.k:
         raise ValueError(f"grid is {grid.k}-dimensional, alpha has {d.k} entries")
-    if d.alpha0 == 0.0:
+    if np.any(d.alpha0 == 0.0):
         raise DegenerateAlphaError("surrogate objective undefined for alpha0 == 0")
-    logs = np.log(np.maximum(grid.probs, _GRID_LOG_FLOOR))
-    active = d.alpha > 0.0
-    const = float(d.alpha0 * math.log(d.alpha0) - np.sum(d.alpha[active] * np.log(d.alpha[active])))
-    log_g = logs[:, active] @ d.alpha[active] + const
-    cross_entropy = -logs[:, y]
-    objective = log_g + cross_entropy
-    return SimplexPoint(grid.probs[int(np.argmax(objective))])
+    logs = np.maximum(grid.probs, _GRID_LOG_FLOOR)
+    np.log(logs, out=logs)
+    alphas, alpha0s = d.alpha.reshape(-1, d.k), np.reshape(d.alpha0, -1)
+    best = np.empty(len(alphas), dtype=np.intp)
+    for i, (alpha, alpha0, label) in enumerate(zip(alphas, alpha0s, labels.reshape(-1))):
+        active = alpha > 0.0
+        const = float(alpha0 * math.log(alpha0) - np.sum(alpha[active] * np.log(alpha[active])))
+        log_g = (logs if active.all() else logs[:, active]) @ alpha[active] + const
+        cross_entropy = -logs[:, label]
+        best[i] = np.argmax(log_g + cross_entropy)
+    return SimplexPoint(grid.probs[best].reshape(d.alpha.shape))

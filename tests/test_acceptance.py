@@ -134,7 +134,7 @@ def test_criterion_01_closed_form_maximiser_matches_grid():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     grids = {k: simplex_grid(k, 200) for k in (2, 3)}
-    worst = max(gradcheck.closed_form_gap(rng, grids[2 if i % 2 == 0 else 3])
+    worst = max(gradcheck.closed_form_gap(rng, grids[2 if i % 2 == 0 else 3], 1)
                 for i in range(200))
     secs = time.perf_counter() - start
     ok = worst <= 2.0 / 200 and secs < 30.0

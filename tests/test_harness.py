@@ -3,6 +3,7 @@ import inspect
 import json
 import logging
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -561,6 +562,15 @@ def test_verify_catches_a_wrong_maximiser(monkeypatch):
     assert loss.dappr_loss(z, labels).value != pytest.approx(before, rel=1e-3)
     bad = {name for name, ok, _ in run_verify().checks if not ok}
     assert "closed_form_vs_grid" in bad
+
+
+def test_verify_catches_a_grid_sup_above_one(monkeypatch):
+    real = harness.dirichlet_possibility
+    monkeypatch.setattr(harness, "dirichlet_possibility", lambda d, p: 1.5 * real(d, p))
+    checks = {name: (ok, detail) for name, ok, detail in run_verify().checks}
+    ok, detail = checks["grid_sup_normalised"]
+    # every sup is 1.5 times the true one, so the upper bound must fail
+    assert not ok and re.fullmatch(r"min sup 1\.4\d{5}, max sup 1\.\d{6}", detail)
 
 
 def test_verify_catches_a_wrong_background_gradient(monkeypatch):

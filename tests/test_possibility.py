@@ -319,6 +319,44 @@ def test_grid_argmax_is_deterministic():
     assert np.array_equal(a.probs, b.probs)
 
 
+def test_grid_argmax_batch_equals_each_case_alone():
+    full = simplex_grid(3, 10).probs
+    grid = SimplexPoint(full[full[:, 2] <= 0.5])
+    # (0, 0, 3) with label 2 scores p_2 alone, so every point with p_2 = 0.5
+    # ties and the first in grid order wins; (0, 2, 1.5) has an inactive class
+    alpha = np.array([[2.5, 1.7, 3.2], [0.0, 0.0, 3.0], [0.0, 2.0, 1.5], [4.0, 1.0, 1.0]])
+    labels = np.array([0, 2, 1, 2])
+    batch = grid_argmax_surrogate(DirichletParams(alpha), labels, grid).probs
+    assert batch.shape == alpha.shape
+    for row, label, got in zip(alpha, labels, batch):
+        alone = grid_argmax_surrogate(DirichletParams(row), int(label), grid).probs
+        assert alone.shape == (3,) and np.array_equal(got, alone)
+    assert np.array_equal(batch[1], [0.0, 0.5, 0.5])
+
+
+_ALPHA = DirichletParams(np.array([2.0, 2.0, 2.0]))
+
+
+@pytest.mark.parametrize("d, label, match", [
+    pytest.param(_ALPHA, 1.5, "integers, got 1.5", id="float"),
+    pytest.param(_ALPHA, np.float64(1.0), r"integers, got np.float64\(1.0\)", id="numpy-float"),
+    pytest.param(_ALPHA, True, "integers, got True", id="bool"),
+    pytest.param(_ALPHA, 3, "label 3 out of range for 3 classes", id="too-large"),
+    pytest.param(_ALPHA, -1, "label -1 out of range", id="negative"),
+    pytest.param(_ALPHA, [0], r"labels \[0\] do not give one label per alpha row",
+                 id="list-for-one-row"),
+    pytest.param(DirichletParams(np.full((2, 3), 2.0)), 0,
+                 "labels 0 do not give one label per alpha row", id="one-for-two-rows"),
+    pytest.param(DirichletParams(np.full((2, 3), 2.0)), [0, 1, 2],
+                 r"labels \[0, 1, 2\] do not give", id="three-for-two-rows"),
+    pytest.param(DirichletParams(np.full((2, 3), 2.0)), [0, 5],
+                 "label 5 out of range", id="batch-too-large"),
+])
+def test_grid_argmax_rejects_bad_labels(d, label, match):
+    with pytest.raises(ValueError, match=match):
+        grid_argmax_surrogate(d, label, simplex_grid(3, 4))
+
+
 # ---------------------------------------------------------------------------
 # class-axis reductions
 
@@ -418,6 +456,37 @@ def test_batched_possibility_equals_each_row(batch):
         assert d.alpha0[i] == d_i.alpha0
 
 
+_RNG = np.random.default_rng(3)
+
+
+@pytest.mark.parametrize("alpha, probs", [
+    pytest.param(_RNG.uniform(0.5, 3.0, 7), _RNG.dirichlet(np.ones(7)), id="K=7-folded"),
+    pytest.param(_RNG.uniform(0.5, 3.0, 8), _RNG.dirichlet(np.ones(8)), id="K=8-reduce"),
+    pytest.param([2.0, 0.0, 1.5], [0.6, 0.0, 0.4], id="inactive-class-at-zero"),
+    # the first mode coordinate underflows to 0: an inf term next to a -inf one
+    pytest.param([5e-324, 1.0, 1.0], [0.5, 0.5, 0.0], id="underflowing-mode"),
+    # both active terms underflow to -0.0; their sum is +0.0
+    pytest.param([5e-324, 5e-324, 0.0], [0.4, 0.4, 0.2], id="negative-zero-terms"),
+])
+def test_each_row_keeps_its_bits_in_a_batch(alpha, probs):
+    alpha, probs = np.array(alpha), np.array(probs)
+    want = log_dirichlet_possibility(DirichletParams(alpha), SimplexPoint(probs))
+    assert isinstance(want, float)
+    assert want == pytest.approx(_scalar_log_possibility(alpha, probs), rel=1e-14, abs=1e-14)
+    if want == 0.0:
+        assert math.copysign(1.0, want) == 1.0
+    k = len(alpha)
+    others = np.full(k, 1.0 / k)
+    # the row amid other rows: a batch of each, then one side broadcast
+    batches = [(np.stack([np.ones(k), alpha, alpha]), np.stack([others, probs, probs])),
+               (alpha, np.stack([others, probs, probs])),
+               (np.stack([np.ones(k), alpha, alpha]), probs)]
+    for alphas, points in batches:
+        got = log_dirichlet_possibility(DirichletParams(alphas), SimplexPoint(points))
+        assert got.shape == (3,)
+        assert got[1:].tobytes() == np.array([want, want]).tobytes()
+
+
 def test_batched_possibility_conventions():
     d = DirichletParams(np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 0.0], [2.0, 1.0, 0.0]]))
     p = SimplexPoint(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]))
@@ -474,9 +543,3 @@ def test_dirichlet_batch_rejects_bad_row_like_the_row_alone(k, n, data, value):
     bad[data.draw(st.integers(0, k - 1))] = value
     rows[data.draw(st.integers(0, n - 1))] = bad
     assert _message(DirichletParams, rows) == _message(DirichletParams, bad)
-
-
-def test_single_vector_operations_reject_batches():
-    d = DirichletParams(np.full((2, 3), 2.0))
-    with pytest.raises(ValueError, match="single vector"):
-        grid_argmax_surrogate(d, 0, simplex_grid(3, 10))

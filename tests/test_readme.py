@@ -65,8 +65,6 @@ def test_readme_lists_every_ood_kind():
 
 # each operation the README lists as defined for one vector, on a 2-row batch
 _BATCHED_CALLS = {
-    "grid_argmax_surrogate": lambda: dappr.grid_argmax_surrogate(
-        dappr.DirichletParams(np.full((2, 3), 2.0)), 0, dappr.simplex_grid(3, 4)),
     "possibilistic_posterior": lambda: dappr.possibilistic_posterior(np.zeros((2, 3))),
     "PossibilityTable": lambda: dappr.PossibilityTable(np.ones((2, 3))),
 }
